@@ -17,13 +17,13 @@
 use crate::metrics::{ClientStats, FaultMetrics, Metrics, MobilityMetrics};
 use crate::oracle::Oracle;
 use crate::probe::{CacheEventKind, IntervalSnapshot, Probe, ProbeEvent, ReportKind, RunTotals};
-use mobicache_client::{ClientAction, ClientConfig, ClientCounters, ClientPop, PopPtr};
+use mobicache_client::{ClientAction, ClientConfig, ClientCounters, ClientMut, ClientPop};
 use mobicache_model::msg::{DownlinkKind, SizeParams, UplinkKind, CLASS_CHECK, CLASS_REPORT};
 use mobicache_model::{ChannelFaults, ClientId, ConfigError, DownlinkTopology, ItemId, SimConfig};
 use mobicache_net::Channel;
 use mobicache_reports::{BsIndex, PlanCache, PlanStats, PreparedReport, ReportPayload};
 use mobicache_server::{Server, ServerCounters};
-use mobicache_sim::pool::{shard_count, SendPtr, WorkerPool};
+use mobicache_sim::pool::{for_each_set_bit, Chunks, WorkerPool};
 use mobicache_sim::{Exp, Histogram, OnlineStats, Scheduler, SimRng, SimTime, StreamId};
 use mobicache_workload::{GapKind, GapProcess, QueryGen, UpdateGen};
 use std::sync::Arc;
@@ -189,142 +189,6 @@ struct ShardOutcome {
     before: Option<(ClientCounters, u64)>,
 }
 
-/// Phase-1 worker for the report fan-out: applies one prepared report
-/// to a contiguous client index range of the population. Touches
-/// nothing but the range's own column cells and the shard's own scratch
-/// — no scheduler, channel, RNG or stats access — which is what makes
-/// the fan-out embarrassingly parallel and the merged result
-/// bit-identical to the serial engine.
-///
-/// `deliver` is the whole population's delivery mask as bitmap words;
-/// the shard walks only its own `[start, end)` range (`start` is
-/// word-aligned — see [`fan_out_shards`]), extracting set bits with
-/// `trailing_zeros` so a word of 64 dozing or unlucky clients costs one
-/// load instead of 64 branches. `plan` is the tick's pre-decoded
-/// invalidation plan, shared immutably across shards (lock-free reads).
-#[allow(clippy::too_many_arguments)]
-fn run_report_shard(
-    now: SimTime,
-    pop: PopPtr,
-    start: usize,
-    end: usize,
-    deliver: &[u64],
-    prepared: &PreparedReport<'_>,
-    plan: Option<&PlanCache>,
-    probing: bool,
-    scratch: &mut ShardScratch,
-) {
-    debug_assert!(start.is_multiple_of(64), "shard start must be word-aligned");
-    for (wi, &word) in deliver
-        .iter()
-        .enumerate()
-        .take(end.div_ceil(64))
-        .skip(start / 64)
-    {
-        let mut w = word;
-        if (wi + 1) * 64 > end {
-            // Final partial word: bits past `end` belong to the next
-            // shard (or past the population) — mask them off.
-            w &= (1u64 << (end - wi * 64)) - 1;
-        }
-        while w != 0 {
-            let i = wi * 64 + w.trailing_zeros() as usize;
-            w &= w - 1;
-            // SAFETY: the fan-out hands each shard a disjoint index
-            // range, and no serial-phase arena growth runs while shards
-            // are live.
-            let mut client = unsafe { pop.client_mut(i) };
-            let before = probing.then(|| (client.counters(), client.cache().evictions()));
-            let a0 = scratch.actions.len();
-            client.on_report_planned(now, prepared, plan, &mut scratch.actions, &mut scratch.plan);
-            scratch.outcomes.push(ShardOutcome {
-                client: i,
-                actions: (scratch.actions.len() - a0) as u32,
-                before,
-            });
-        }
-    }
-}
-
-/// Phase-1 worker for broadcast snooping: overheard items only touch
-/// each client's own cache, so no scratch is needed at all. Same
-/// word-wise mask walk as the report shard.
-fn run_snoop_shard(
-    now: SimTime,
-    pop: PopPtr,
-    start: usize,
-    end: usize,
-    deliver: &[u64],
-    item: ItemId,
-    version: SimTime,
-) {
-    debug_assert!(start.is_multiple_of(64), "shard start must be word-aligned");
-    for (wi, &word) in deliver
-        .iter()
-        .enumerate()
-        .take(end.div_ceil(64))
-        .skip(start / 64)
-    {
-        let mut w = word;
-        if (wi + 1) * 64 > end {
-            w &= (1u64 << (end - wi * 64)) - 1;
-        }
-        while w != 0 {
-            let i = wi * 64 + w.trailing_zeros() as usize;
-            w &= w - 1;
-            // SAFETY: disjoint index range per shard (see fan-out).
-            let mut client = unsafe { pop.client_mut(i) };
-            client.on_snooped_data(now, item, version);
-        }
-    }
-}
-
-/// Splits the client population into contiguous index-range chunks (at
-/// most `shards.len()`, thinned by the `min_per_shard` knob) and runs
-/// `work` on each through the persistent pool — chunk `i` gets shard
-/// scratch `i`, whichever thread claims it. With one effective shard
-/// this degenerates to a plain serial call that never touches the pool.
-///
-/// `work` receives the chunk's `[start, end)` client index range;
-/// chunks are rounded up to 64-client multiples so every shard starts
-/// on a delivery-bitmap word boundary and the workers can walk whole
-/// words without cross-shard overlap. (Chunk geometry is wall-time
-/// only — the knob-invariance golden tests pin that digests never
-/// depend on it.) Workers reach the columns through a captured
-/// [`PopPtr`], staying inside their own index range.
-fn fan_out_shards<W>(
-    pool: &WorkerPool,
-    min_per_shard: usize,
-    len: usize,
-    shards: &mut [ShardScratch],
-    work: W,
-) where
-    W: Fn(usize, usize, &mut ShardScratch) + Sync,
-{
-    if len == 0 {
-        return;
-    }
-    let t = shard_count(shards.len(), len, min_per_shard);
-    if t == 1 {
-        work(0, len, &mut shards[0]);
-        return;
-    }
-    let chunk = len.div_ceil(t).next_multiple_of(64);
-    let shards_ptr = SendPtr(shards.as_mut_ptr());
-    pool.run(t, &|i| {
-        let start = i * chunk;
-        if start >= len {
-            return;
-        }
-        let end = (start + chunk).min(len);
-        // SAFETY: chunks are disjoint contiguous index ranges, and
-        // shard scratch `i` is written by chunk `i` alone; the pool's
-        // barrier keeps both alive until every chunk has completed.
-        let shard = unsafe { &mut *shards_ptr.get().add(i) };
-        work(start, end, shard);
-    });
-}
-
 /// A fully wired simulation, ready to run.
 pub struct Simulation<'p> {
     cfg: SimConfig,
@@ -413,9 +277,6 @@ pub struct Simulation<'p> {
     /// Reusable per-client delivery mask for the broadcast phases, as
     /// bitmap words (bit `i` = client `i` hears this transmission).
     deliver_words: Vec<u64>,
-    /// Reusable bool expansion of a word mask for the oracle's
-    /// `scan_cols`, and the all-true mask of full-population checks.
-    deliver_scratch: Vec<bool>,
     /// The per-tick invalidation-plan caches, one per cell: each cell's
     /// report is decoded once into a dense stale bitmap in serial
     /// phase 0, then shared immutably across the fan-out shards (see
@@ -521,51 +382,27 @@ impl<'p> Simulation<'p> {
 
         // One wake-up per client: every client samples its first think
         // period from its own RNG stream, so the sampling shards across
-        // the pool; the per-shard `(time, client)` scratch is replayed
-        // serially in client-index order through `schedule_batch`, which
-        // hands out the same sequence numbers `num_clients` individual
-        // calls would (the FIFO tie-break contract).
-        let think = mobicache_sim::Exp::with_mean(cfg.mean_think_secs);
+        // the pool (chunk `k` owns its clients' streams and wake-up
+        // times); the times are then scheduled serially in client-index
+        // order through `schedule_batch`, which hands out the same
+        // sequence numbers `num_clients` individual calls would (the
+        // FIFO tie-break contract).
+        let think = Exp::with_mean(cfg.mean_think_secs);
         let n = cfg.num_clients as usize;
-        let t = shard_count(threads, n, cfg.pool_min_shard_clients as usize);
-        if t <= 1 {
-            sched.schedule_batch((0..cfg.num_clients).map(|c| {
-                let first = think.sample(&mut rng_clients[c as usize]);
-                (SimTime::from_secs(first), Ev::QueryArrival(ClientId(c)))
-            }));
-        } else {
-            let chunk = n.div_ceil(t);
-            let mut wake: Vec<Vec<(SimTime, u32)>> = (0..t).map(|_| Vec::new()).collect();
-            let wake_ptr = SendPtr(wake.as_mut_ptr());
-            let rng_ptr = SendPtr(rng_clients.as_mut_ptr());
-            let think_ref = &think;
-            pool.run(t, &|i| {
-                let start = i * chunk;
-                if start >= n {
-                    return;
-                }
-                let end = (start + chunk).min(n);
-                // SAFETY: disjoint contiguous RNG ranges; wake slot `i`
-                // is written by chunk `i` alone.
-                let rngs = unsafe {
-                    std::slice::from_raw_parts_mut(rng_ptr.get().add(start), end - start)
-                };
-                let out = unsafe { &mut *wake_ptr.get().add(i) };
-                out.reserve(end - start);
-                for (off, rng) in rngs.iter_mut().enumerate() {
-                    let first = think_ref.sample(rng);
-                    out.push((SimTime::from_secs(first), (start + off) as u32));
-                }
-            });
-            sched.reserve(n);
-            for shard in &mut wake {
-                sched.schedule_batch(
-                    shard
-                        .drain(..)
-                        .map(|(at, c)| (at, Ev::QueryArrival(ClientId(c)))),
-                );
+        let chunks = Chunks::new(n, threads, cfg.pool_min_shard_clients as usize, 1);
+        let mut first = vec![0.0; n];
+        let slots = rng_clients
+            .chunks_mut(chunks.size())
+            .zip(first.chunks_mut(chunks.size()));
+        chunks.run(&pool, slots, |_, (rngs, out)| {
+            for (rng, secs) in rngs.iter_mut().zip(out) {
+                *secs = think.sample(rng);
             }
-        }
+        });
+        sched.schedule_batch((0..cfg.num_clients).map(|c| {
+            let at = SimTime::from_secs(first[c as usize]);
+            (at, Ev::QueryArrival(ClientId(c)))
+        }));
 
         // Mobility: each client's residency clock starts at t = 0 and
         // runs on its own dedicated stream, so enabling more cells (or
@@ -666,7 +503,6 @@ impl<'p> Simulation<'p> {
             snap_index: 0,
             action_scratch: Vec::new(),
             deliver_words: Vec::new(),
-            deliver_scratch: Vec::new(),
             plans: (0..cells).map(|_| PlanCache::new()).collect(),
             prev_report_at: vec![SimTime::ZERO; cells],
             plan_hits: 0,
@@ -843,11 +679,11 @@ impl<'p> Simulation<'p> {
         if self.oracle.is_none() {
             return;
         }
-        let mut all = std::mem::take(&mut self.deliver_scratch);
+        let mut all = std::mem::take(&mut self.deliver_words);
         all.clear();
-        all.resize(self.clients.len(), true);
+        all.resize(self.clients.len().div_ceil(64), u64::MAX);
         self.check_consistency_masked(&all);
-        self.deliver_scratch = all;
+        self.deliver_words = all;
     }
 
     /// Forwards a typed event to the attached probe, if any.
@@ -1058,185 +894,12 @@ impl<'p> Simulation<'p> {
         if let Some(c) = delivered.next {
             self.sched.schedule(c.at, Ev::DownlinkDone(idx, c.token));
         }
+        // The sending cell is encoded by the channel index (downlinks
+        // are laid out cell-major), so no payload needs a cell tag.
+        let cell = self.cell_of_downlink(idx);
+        let bits = delivered.bits;
         match delivered.msg {
-            DownPayload::Report(report) => {
-                // The broadcasting cell is encoded by the channel index
-                // (downlinks are laid out cell-major), so the payload
-                // needs no cell tag.
-                let cell = self.cell_of_downlink(idx);
-                // Index the report once; every client of the fan-out
-                // shares it (the tentpole of the report pipeline). The
-                // BS index — the one kind whose build is O(N) in the
-                // database — is built through the pool, sharded over
-                // the recency list.
-                let prepared = match &*report {
-                    ReportPayload::BitSeq(bs) => PreparedReport::with_bs_index(
-                        &report,
-                        BsIndex::build_sharded(
-                            bs,
-                            &self.pool,
-                            self.shards.len(),
-                            self.cfg.pool_min_shard_items as usize,
-                        ),
-                    ),
-                    _ => report.prepare(),
-                };
-                // Phase 0 (serial): decide who hears this broadcast,
-                // building the delivery mask as bitmap words. Fault
-                // coins and the rx-bits accumulation stay in
-                // client-index order on dedicated per-client streams, so
-                // the coin schedule and the float addition order match
-                // the serial engine bit for bit at any thread count.
-                let mut deliver = std::mem::take(&mut self.deliver_words);
-                deliver.clear();
-                deliver.resize(self.clients.len().div_ceil(64), 0);
-                if !self.eff_downlink.is_active() {
-                    // Every connected member of the broadcasting cell
-                    // hears it: the mask is the word-wise intersection
-                    // of the connected bitmap and the cell-membership
-                    // bitmap (all-ones at one cell, so this is exactly
-                    // the legacy connected copy). rx-bits accumulates
-                    // the same constant once per set bit — the identical
-                    // sequence of additions the per-client loop
-                    // performed.
-                    for ((d, &cw), &mw) in deliver
-                        .iter_mut()
-                        .zip(self.clients.connected_words())
-                        .zip(self.clients.cell_words(cell as u32))
-                    {
-                        *d = cw & mw;
-                    }
-                    for &w in &deliver {
-                        for _ in 0..w.count_ones() {
-                            self.rx_bits += delivered.bits;
-                        }
-                    }
-                } else {
-                    let df = self.eff_downlink;
-                    let p_exit = df.p_exit_burst();
-                    for i in 0..self.clients.len() {
-                        if self.clients.cell_of(i) != cell as u32 {
-                            // Another cell's broadcast: this client's
-                            // radio path is not involved at all. Its
-                            // chain evolves once per tick on its OWN
-                            // cell's broadcast, so the per-client draw
-                            // schedule stays aligned with that cell's
-                            // broadcast clock (and is untouched at one
-                            // cell, where this arm never fires).
-                            continue;
-                        }
-                        // The Gilbert–Elliott chain evolves for every
-                        // member of the cell, listening or not —
-                        // burstiness is a property of the radio path,
-                        // and a draw schedule independent of
-                        // connectivity keeps each client's stream
-                        // aligned with the broadcast clock.
-                        let bad = if self.ge_bad[i] {
-                            !self.rng_faults[i].coin(p_exit)
-                        } else {
-                            df.p_enter_burst > 0.0 && self.rng_faults[i].coin(df.p_enter_burst)
-                        };
-                        self.ge_bad[i] = bad;
-                        if !self.clients.is_connected(i) {
-                            continue; // dozing clients miss the broadcast
-                        }
-                        let p = if bad { df.p_loss_bad } else { df.p_loss_good };
-                        if p > 0.0 && self.rng_faults[i].coin(p) {
-                            self.reports_lost += 1;
-                            if bad {
-                                self.faults.downlink_losses_burst += 1;
-                            } else {
-                                self.faults.downlink_losses_good += 1;
-                            }
-                            if self.clients.has_pending_query(i) {
-                                // The query must now wait at least one
-                                // more interval for a report.
-                                self.faults.queries_stretched += 1;
-                            }
-                            self.emit(
-                                now,
-                                ProbeEvent::ReportLost {
-                                    client: ClientId(i as u32),
-                                    in_burst: bad,
-                                },
-                            );
-                            continue;
-                        }
-                        self.rx_bits += delivered.bits;
-                        deliver[i / 64] |= 1u64 << (i % 64);
-                    }
-                }
-                self.fanout_words_skipped += deliver.iter().filter(|&&w| w == 0).count() as u64;
-                // Decode this tick's invalidation plan once (serial),
-                // keyed by the dominant Tlb bucket: every client that
-                // heard the previous report holds exactly its broadcast
-                // time. Shards then read the plan lock-free.
-                let mut plan = std::mem::take(&mut self.plans[cell]);
-                plan.decode_for_tick(&report, self.prev_report_at[cell], self.cfg.db_size);
-                // Phase 1 (parallel): each shard applies the report to
-                // its contiguous client range, touching only its own
-                // clients and scratch.
-                let probing = self.opts.probe.is_some();
-                let mut shards = std::mem::take(&mut self.shards);
-                for sh in &mut shards {
-                    sh.actions.clear();
-                    sh.outcomes.clear();
-                    sh.plan = PlanStats::default();
-                }
-                let pop = self.clients.as_ptr();
-                {
-                    let plan_ref = &plan;
-                    let deliver_ref = &deliver;
-                    fan_out_shards(
-                        &self.pool,
-                        self.cfg.pool_min_shard_clients as usize,
-                        self.clients.len(),
-                        &mut shards,
-                        |start, end, sh| {
-                            run_report_shard(
-                                now,
-                                pop,
-                                start,
-                                end,
-                                deliver_ref,
-                                &prepared,
-                                Some(plan_ref),
-                                probing,
-                                sh,
-                            );
-                        },
-                    );
-                }
-                self.plans[cell] = plan;
-                self.prev_report_at[cell] = report.broadcast_at();
-                // Phase 2 (serial merge, client-index order): replay
-                // each client's actions and observations exactly as the
-                // serial loop interleaved them — the scheduler, the
-                // channels, the stats and the per-client RNG streams
-                // are only touched here.
-                for shard in &mut shards {
-                    self.plan_hits += shard.plan.hits;
-                    self.plan_misses += shard.plan.misses;
-                    let ShardScratch {
-                        actions, outcomes, ..
-                    } = shard;
-                    let mut acts = actions.drain(..);
-                    for o in outcomes.drain(..) {
-                        let c = ClientId(o.client as u32);
-                        for _ in 0..o.actions {
-                            let action = acts.next().expect("shard recorded action count");
-                            self.apply_action(now, c, action);
-                        }
-                        self.post_observe(now, c, o.before);
-                    }
-                }
-                self.shards = shards;
-                // Oracle pass after the merge (actions never touch a
-                // cache, so checking here sees exactly the state the
-                // per-client serial check saw), sharded over the pool.
-                self.check_consistency_sharded(&deliver);
-                self.deliver_words = deliver;
-            }
+            DownPayload::Report(report) => self.deliver_report(now, cell, &report, bits),
             DownPayload::Data { item, dest } => {
                 // The response left the downlink: a later re-request for
                 // this item is a fresh request, not a duplicate.
@@ -1244,81 +907,33 @@ impl<'p> Simulation<'p> {
                 // Delivered copies reflect the version current at delivery
                 // (see DESIGN.md §3: this removes the report/fetch race a
                 // bit-level model would have to resolve with torn reads).
-                // The serving cell is the channel's cell; under zero
-                // cross-cell skew every server holds the same version.
-                let version = self.servers[self.cell_of_downlink(idx)].version(item);
-                self.rx_bits += delivered.bits;
-                let before = self.pre_observe(dest.index());
-                let mut actions = std::mem::take(&mut self.action_scratch);
-                self.clients.client_mut(dest.index()).on_data_into(
-                    now,
-                    item,
-                    version,
-                    &mut actions,
-                );
-                self.process_actions(now, dest, &mut actions);
-                self.action_scratch = actions;
-                self.post_observe(now, dest, before);
-                self.check_consistency(dest.index());
+                // Under zero cross-cell skew every server holds the same
+                // version.
+                let version = self.servers[cell].version(item);
+                self.deliver_unicast(now, dest, bits, |mut c, actions| {
+                    c.on_data_into(now, item, version, actions);
+                });
                 // Snooping extension: the downlink is a broadcast medium,
-                // so every other connected client overhears the item.
-                // Same three-phase split as the report fan-out, minus
-                // the merge: snooped items produce no actions.
+                // so every other connected member of the cell overhears
+                // the item. Snooped items only touch each client's own
+                // cache, so there are no actions to merge.
                 if self.cfg.snoop_broadcasts {
-                    // Connected members of the serving cell minus the
-                    // addressed client (a downlink only covers its own
-                    // cell); the rx-bits additions are the same sequence
-                    // the per-client loop performed (one constant per
-                    // set bit, ascending index).
-                    let cell = self.cell_of_downlink(idx);
-                    let mut deliver = std::mem::take(&mut self.deliver_words);
-                    deliver.clear();
-                    deliver.extend_from_slice(self.clients.connected_words());
-                    for (d, &mw) in deliver.iter_mut().zip(self.clients.cell_words(cell as u32)) {
-                        *d &= mw;
-                    }
-                    let d = dest.index();
-                    deliver[d / 64] &= !(1u64 << (d % 64));
-                    for &w in &deliver {
-                        for _ in 0..w.count_ones() {
-                            self.rx_bits += delivered.bits;
-                        }
-                    }
-                    self.fanout_words_skipped += deliver.iter().filter(|&&w| w == 0).count() as u64;
-                    let mut shards = std::mem::take(&mut self.shards);
-                    let pop = self.clients.as_ptr();
-                    let deliver_ref = &deliver;
-                    fan_out_shards(
-                        &self.pool,
-                        self.cfg.pool_min_shard_clients as usize,
-                        self.clients.len(),
-                        &mut shards,
-                        |start, end, _| {
-                            run_snoop_shard(now, pop, start, end, deliver_ref, item, version);
-                        },
-                    );
-                    self.shards = shards;
-                    self.check_consistency_sharded(&deliver);
+                    let deliver = self.deliver_mask(cell, Some(dest), bits);
+                    self.fan_out(&deliver, |_, mut client, _| {
+                        client.on_snooped_data(now, item, version);
+                    });
+                    self.check_consistency_masked(&deliver);
                     self.deliver_words = deliver;
                 }
             }
+            // A verdict reaching a client that dozed off meanwhile is
+            // lost; the client will re-check.
+            DownPayload::Validity { dest, .. } | DownPayload::GroupVerdict { dest, .. }
+                if !self.clients.is_connected(dest.index()) => {}
             DownPayload::Validity { dest, asof, valid } => {
-                if !self.clients.is_connected(dest.index()) {
-                    return; // verdict lost; the client will re-check
-                }
-                self.rx_bits += delivered.bits;
-                let before = self.pre_observe(dest.index());
-                let mut actions = std::mem::take(&mut self.action_scratch);
-                self.clients.client_mut(dest.index()).on_validity_into(
-                    now,
-                    asof,
-                    &valid,
-                    &mut actions,
-                );
-                self.process_actions(now, dest, &mut actions);
-                self.action_scratch = actions;
-                self.post_observe(now, dest, before);
-                self.check_consistency(dest.index());
+                self.deliver_unicast(now, dest, bits, |mut c, actions| {
+                    c.on_validity_into(now, asof, &valid, actions);
+                });
             }
             DownPayload::GroupVerdict {
                 dest,
@@ -1326,21 +941,238 @@ impl<'p> Simulation<'p> {
                 covered,
                 stale,
             } => {
-                if !self.clients.is_connected(dest.index()) {
-                    return; // verdict lost; the client will re-check
-                }
-                self.rx_bits += delivered.bits;
-                let before = self.pre_observe(dest.index());
-                let mut actions = std::mem::take(&mut self.action_scratch);
-                self.clients
-                    .client_mut(dest.index())
-                    .on_group_validity_into(now, asof, covered, &stale, &mut actions);
-                self.process_actions(now, dest, &mut actions);
-                self.action_scratch = actions;
-                self.post_observe(now, dest, before);
-                self.check_consistency(dest.index());
+                self.deliver_unicast(now, dest, bits, |mut c, actions| {
+                    c.on_group_validity_into(now, asof, covered, &stale, actions);
+                });
             }
         }
+    }
+
+    /// Broadcasts one invalidation report to every listener in `cell`,
+    /// in three phases: a serial delivery mask, a parallel fan-out, and
+    /// a serial merge in client-index order.
+    fn deliver_report(&mut self, now: SimTime, cell: usize, report: &ReportPayload, bits: f64) {
+        // Index the report once; every client of the fan-out shares it.
+        // The BS index — the one kind whose build is O(N) in the
+        // database — is built through the pool, sharded over the
+        // recency list.
+        let prepared = match report {
+            ReportPayload::BitSeq(bs) => PreparedReport::with_bs_index(
+                report,
+                BsIndex::build_sharded(
+                    bs,
+                    &self.pool,
+                    self.shards.len(),
+                    self.cfg.pool_min_shard_items as usize,
+                ),
+            ),
+            _ => report.prepare(),
+        };
+        // Phase 0 (serial): decide who hears this broadcast. Fault coins
+        // stay in client-index order on dedicated per-client streams, so
+        // the coin schedule matches the serial engine at any thread
+        // count.
+        let deliver = if self.eff_downlink.is_active() {
+            self.lossy_report_mask(now, cell, bits)
+        } else {
+            self.deliver_mask(cell, None, bits)
+        };
+        // Decode this tick's invalidation plan once (serial), keyed by
+        // the dominant Tlb bucket: every client that heard the previous
+        // report holds exactly its broadcast time. Shards then read the
+        // plan lock-free.
+        let mut plan = std::mem::take(&mut self.plans[cell]);
+        plan.decode_for_tick(report, self.prev_report_at[cell], self.cfg.db_size);
+        // Phase 1 (parallel): each client applies the report, appending
+        // its actions to its shard's scratch.
+        let probing = self.opts.probe.is_some();
+        self.fan_out(&deliver, |i, mut client, sh| {
+            let before = probing.then(|| (client.counters(), client.cache().evictions()));
+            let a0 = sh.actions.len();
+            client.on_report_planned(now, &prepared, Some(&plan), &mut sh.actions, &mut sh.plan);
+            sh.outcomes.push(ShardOutcome {
+                client: i,
+                actions: (sh.actions.len() - a0) as u32,
+                before,
+            });
+        });
+        self.plans[cell] = plan;
+        self.prev_report_at[cell] = report.broadcast_at();
+        // Phase 2 (serial merge, client-index order): replay each
+        // client's actions and observations exactly as the serial loop
+        // interleaved them — the scheduler, the channels, the stats and
+        // the per-client RNG streams are only touched here.
+        let mut shards = std::mem::take(&mut self.shards);
+        for shard in &mut shards {
+            let stats = std::mem::take(&mut shard.plan);
+            self.plan_hits += stats.hits;
+            self.plan_misses += stats.misses;
+            let mut acts = shard.actions.drain(..);
+            for o in shard.outcomes.drain(..) {
+                let c = ClientId(o.client as u32);
+                for _ in 0..o.actions {
+                    let action = acts.next().expect("shard recorded action count");
+                    self.apply_action(now, c, action);
+                }
+                self.post_observe(now, c, o.before);
+            }
+        }
+        self.shards = shards;
+        // Oracle pass after the merge (actions never touch a cache, so
+        // checking here sees exactly the state the per-client serial
+        // check saw).
+        self.check_consistency_masked(&deliver);
+        self.deliver_words = deliver;
+    }
+
+    /// The broadcast delivery mask of a transmission on `cell`'s
+    /// downlink, as bitmap words (bit `i` = client `i` hears it): the
+    /// connected bitmap ∧ the cell-membership bitmap (all-ones at one
+    /// cell), minus `except`, the addressed client of an overheard
+    /// unicast. Charges every listener's radio. The buffer is
+    /// `deliver_words`; hand it back after the broadcast.
+    fn deliver_mask(&mut self, cell: usize, except: Option<ClientId>, bits: f64) -> Vec<u64> {
+        let mut deliver = std::mem::take(&mut self.deliver_words);
+        deliver.clear();
+        deliver.extend(
+            self.clients
+                .connected_words()
+                .iter()
+                .zip(self.clients.cell_words(cell as u32))
+                .map(|(&c, &m)| c & m),
+        );
+        if let Some(c) = except {
+            deliver[c.index() / 64] &= !(1u64 << (c.index() % 64));
+        }
+        self.charge_listeners(&deliver, bits);
+        deliver
+    }
+
+    /// The report delivery mask under downlink faults: every member of
+    /// `cell` steps its Gilbert–Elliott chain, and each connected member
+    /// then draws its loss coin. Charges every listener's radio, like
+    /// [`Simulation::deliver_mask`].
+    fn lossy_report_mask(&mut self, now: SimTime, cell: usize, bits: f64) -> Vec<u64> {
+        let mut deliver = std::mem::take(&mut self.deliver_words);
+        deliver.clear();
+        deliver.resize(self.clients.len().div_ceil(64), 0);
+        let df = self.eff_downlink;
+        let p_exit = df.p_exit_burst();
+        for i in 0..self.clients.len() {
+            if self.clients.cell_of(i) != cell as u32 {
+                // Another cell's broadcast: this client's radio path is
+                // not involved at all. Its chain evolves once per tick
+                // on its OWN cell's broadcast, so the per-client draw
+                // schedule stays aligned with that cell's broadcast
+                // clock (and is untouched at one cell, where this arm
+                // never fires).
+                continue;
+            }
+            // The Gilbert–Elliott chain evolves for every member of the
+            // cell, listening or not — burstiness is a property of the
+            // radio path, and a draw schedule independent of
+            // connectivity keeps each client's stream aligned with the
+            // broadcast clock.
+            let bad = if self.ge_bad[i] {
+                !self.rng_faults[i].coin(p_exit)
+            } else {
+                df.p_enter_burst > 0.0 && self.rng_faults[i].coin(df.p_enter_burst)
+            };
+            self.ge_bad[i] = bad;
+            if !self.clients.is_connected(i) {
+                continue; // dozing clients miss the broadcast
+            }
+            let p = if bad { df.p_loss_bad } else { df.p_loss_good };
+            if p > 0.0 && self.rng_faults[i].coin(p) {
+                self.reports_lost += 1;
+                if bad {
+                    self.faults.downlink_losses_burst += 1;
+                } else {
+                    self.faults.downlink_losses_good += 1;
+                }
+                if self.clients.has_pending_query(i) {
+                    // The query must now wait at least one more
+                    // interval for a report.
+                    self.faults.queries_stretched += 1;
+                }
+                self.emit(
+                    now,
+                    ProbeEvent::ReportLost {
+                        client: ClientId(i as u32),
+                        in_burst: bad,
+                    },
+                );
+                continue;
+            }
+            deliver[i / 64] |= 1u64 << (i % 64);
+        }
+        self.charge_listeners(&deliver, bits);
+        deliver
+    }
+
+    /// Charges `bits` of reception to every client set in `deliver` and
+    /// counts the zero words the fan-out will skip (64 clients apiece
+    /// that cost one word load instead of 64 branches).
+    fn charge_listeners(&mut self, deliver: &[u64], bits: f64) {
+        // One addition per listener, in ascending client order — not one
+        // `popcount × bits` product: `validate()` accepts a fractional
+        // `header_bits`, so the product can round differently from the
+        // per-client sum and would move the digests.
+        for &w in deliver {
+            for _ in 0..w.count_ones() {
+                self.rx_bits += bits;
+            }
+        }
+        self.fanout_words_skipped += deliver.iter().filter(|&&w| w == 0).count() as u64;
+    }
+
+    /// Phase 1 of a broadcast: runs `visit(i, client i, scratch)` for
+    /// every client `i` set in `deliver`, sharded over the pool in
+    /// contiguous client ranges whose starts are multiples of 64 (so no
+    /// two shards share a mask word); chunk `k` gets shard scratch `k`.
+    /// With one chunk this is a plain call on the caller. Chunk geometry
+    /// is wall-time only — the knob-invariance golden tests pin that
+    /// digests never depend on it.
+    fn fan_out(
+        &mut self,
+        deliver: &[u64],
+        visit: impl Fn(usize, ClientMut<'_>, &mut ShardScratch) + Sync,
+    ) {
+        let pop = self.clients.as_ptr();
+        let min = self.cfg.pool_min_shard_clients as usize;
+        Chunks::new(self.clients.len(), self.shards.len(), min, 64).run(
+            &self.pool,
+            self.shards.iter_mut(),
+            |range, scratch| {
+                for_each_set_bit(deliver, range, |i| {
+                    // SAFETY: chunks are disjoint client ranges and the
+                    // walker stays inside its own, so no two live views
+                    // share a client; no serial-phase arena growth runs
+                    // while the fan-out is live.
+                    visit(i, unsafe { pop.client_mut(i) }, scratch);
+                });
+            },
+        );
+    }
+
+    /// Point-to-point delivery of a `bits`-bit message to `dest`:
+    /// charges its radio, runs `handler` on the client, then replays
+    /// its actions, probe deltas and oracle check.
+    fn deliver_unicast(
+        &mut self,
+        now: SimTime,
+        dest: ClientId,
+        bits: f64,
+        handler: impl FnOnce(ClientMut<'_>, &mut Vec<ClientAction>),
+    ) {
+        self.rx_bits += bits;
+        let before = self.pre_observe(dest.index());
+        let mut actions = std::mem::take(&mut self.action_scratch);
+        handler(self.clients.client_mut(dest.index()), &mut actions);
+        self.process_actions(now, dest, &mut actions);
+        self.action_scratch = actions;
+        self.post_observe(now, dest, before);
+        self.check_consistency(dest.index());
     }
 
     fn on_uplink_done(&mut self, now: SimTime, token: u64) {
@@ -1588,36 +1420,15 @@ impl<'p> Simulation<'p> {
         }
     }
 
-    /// Oracle pass over every client marked in `deliver` — the
-    /// read-only full-cache scans of a broadcast tick, sharded over the
-    /// pool. Violations come back in client-index order (whatever the
-    /// shard geometry), so the first one re-raised here is the same
-    /// panic, with the same message, the per-client serial check
-    /// produced.
-    fn check_consistency_sharded(&mut self, deliver_words: &[u64]) {
-        if self.oracle.is_none() {
-            return;
-        }
-        // Expand the word mask into the oracle's bool view (the scan
-        // itself branches per client anyway — a full cache walk apiece —
-        // so the expansion is noise there).
-        let mut mask = std::mem::take(&mut self.deliver_scratch);
-        mask.clear();
-        mask.resize(self.clients.len(), false);
-        for (i, b) in mask.iter_mut().enumerate() {
-            *b = deliver_words[i / 64] & (1u64 << (i % 64)) != 0;
-        }
-        self.check_consistency_masked(&mask);
-        self.deliver_scratch = mask;
-    }
-
-    /// The bool-mask core of the sharded oracle pass.
-    fn check_consistency_masked(&mut self, deliver: &[bool]) {
+    /// Oracle pass over every client set in the bitmap `deliver` — the
+    /// read-only full-cache scans of a broadcast, sharded over the pool.
+    /// Violations come back in client-index order (whatever the shard
+    /// geometry), so the first one re-raised here is the same panic,
+    /// with the same message, the per-client serial check produced.
+    fn check_consistency_masked(&mut self, deliver: &[u64]) {
         let Some(oracle) = self.oracle.as_ref() else {
             return;
         };
-        // Columnar scan: no per-call `(ClientId, &cache)` list — the
-        // oracle walks the cache column directly, masked by `deliver`.
         let (checks, violations) = oracle.scan_cols(
             self.clients.caches_col(),
             deliver,

@@ -16,7 +16,7 @@
 
 use mobicache_cache::{EntryState, LruCache};
 use mobicache_model::{ClientId, ItemId};
-use mobicache_sim::pool::{shard_count, SendPtr, WorkerPool};
+use mobicache_sim::pool::{for_each_set_bit, Chunks, WorkerPool};
 use mobicache_sim::SimTime;
 use std::collections::HashMap;
 use std::fmt;
@@ -131,103 +131,30 @@ impl Oracle {
         self.checks += n;
     }
 
-    /// Scans many caches, sharded over `pool` in contiguous chunks of
-    /// `caches`. Returns the total evaluation count and every violation
-    /// in `caches`-index (then cache-entry) order — byte-identical to a
-    /// serial pass, whatever the shard geometry: each chunk appends to
-    /// its own slot, and slots are concatenated in chunk order.
-    pub fn scan(
-        &self,
-        caches: &[(ClientId, &LruCache)],
-        pool: &WorkerPool,
-        max_shards: usize,
-        min_per_shard: usize,
-    ) -> (u64, Vec<Violation>) {
-        let n = caches.len();
-        if n == 0 {
-            return (0, Vec::new());
-        }
-        let t = shard_count(max_shards, n, min_per_shard);
-        if t <= 1 {
-            let mut out = Vec::new();
-            let mut checks = 0;
-            for &(client, cache) in caches {
-                checks += self.collect_violations(client, cache, &mut out);
-            }
-            return (checks, out);
-        }
-        let chunk = n.div_ceil(t);
-        let mut parts: Vec<(u64, Vec<Violation>)> = (0..t).map(|_| (0, Vec::new())).collect();
-        let parts_ptr = SendPtr(parts.as_mut_ptr());
-        pool.run(t, &|i| {
-            let start = i * chunk;
-            if start >= n {
-                return;
-            }
-            let end = (start + chunk).min(n);
-            // SAFETY: chunk `i` writes only to slot `i`.
-            let slot = unsafe { &mut *parts_ptr.get().add(i) };
-            for &(client, cache) in &caches[start..end] {
-                slot.0 += self.collect_violations(client, cache, &mut slot.1);
-            }
-        });
-        let mut checks = 0;
-        let mut out = Vec::new();
-        for (c, mut v) in parts {
-            checks += c;
-            out.append(&mut v);
-        }
-        (checks, out)
-    }
-
-    /// Scans a whole cache column masked by `deliver`, sharded over
-    /// `pool` in contiguous index chunks. The column index *is* the
-    /// client id, so no `(ClientId, &cache)` pair list is ever built —
-    /// the struct-of-arrays engine calls this straight on its cache
-    /// column every broadcast tick. Returns the total evaluation count
-    /// and every violation in column-index (then cache-entry) order,
-    /// byte-identical to a serial pass whatever the shard geometry.
+    /// Scans a whole cache column masked by the bitmap `deliver` (bit
+    /// `i` set = check client `i`), sharded over `pool` in contiguous
+    /// index chunks. The column index *is* the client id, so no
+    /// `(ClientId, &cache)` pair list is ever built — the
+    /// struct-of-arrays engine calls this straight on its cache column
+    /// with a broadcast's delivery mask. Returns the total evaluation
+    /// count and every violation in column-index (then cache-entry)
+    /// order, byte-identical to a serial [`Oracle::collect_violations`]
+    /// loop whatever the shard geometry: chunk `i` appends to slot `i`,
+    /// and slots are concatenated in chunk order.
     pub fn scan_cols(
         &self,
         caches: &[LruCache],
-        deliver: &[bool],
+        deliver: &[u64],
         pool: &WorkerPool,
         max_shards: usize,
         min_per_shard: usize,
     ) -> (u64, Vec<Violation>) {
-        debug_assert_eq!(caches.len(), deliver.len());
-        let n = caches.len();
-        if n == 0 {
-            return (0, Vec::new());
-        }
-        let t = shard_count(max_shards, n, min_per_shard);
-        if t <= 1 {
-            let mut out = Vec::new();
-            let mut checks = 0;
-            for (i, cache) in caches.iter().enumerate() {
-                if deliver[i] {
-                    checks += self.collect_violations(ClientId(i as u32), cache, &mut out);
-                }
-            }
-            return (checks, out);
-        }
-        let chunk = n.div_ceil(t);
-        let mut parts: Vec<(u64, Vec<Violation>)> = (0..t).map(|_| (0, Vec::new())).collect();
-        let parts_ptr = SendPtr(parts.as_mut_ptr());
-        pool.run(t, &|i| {
-            let start = i * chunk;
-            if start >= n {
-                return;
-            }
-            let end = (start + chunk).min(n);
-            // SAFETY: chunk `i` writes only to slot `i`.
-            let slot = unsafe { &mut *parts_ptr.get().add(i) };
-            for (j, cache) in caches[start..end].iter().enumerate() {
-                if deliver[start + j] {
-                    slot.0 +=
-                        self.collect_violations(ClientId((start + j) as u32), cache, &mut slot.1);
-                }
-            }
+        let chunks = Chunks::new(caches.len(), max_shards, min_per_shard, 1);
+        let mut parts: Vec<(u64, Vec<Violation>)> = vec![(0, Vec::new()); chunks.count()];
+        chunks.run(pool, parts.iter_mut(), |range, (checks, out)| {
+            for_each_set_bit(deliver, range, |i| {
+                *checks += self.collect_violations(ClientId(i as u32), &caches[i], out);
+            });
         });
         let mut checks = 0;
         let mut out = Vec::new();
@@ -309,37 +236,37 @@ mod tests {
                 cache
             })
             .collect();
-        let refs: Vec<(ClientId, &LruCache)> = caches
-            .iter()
-            .enumerate()
-            .map(|(i, cache)| (ClientId(i as u32), cache))
-            .collect();
-        let pool = WorkerPool::new(3);
-        let serial = o.scan(&refs, &pool, 1, 1);
+        // The reference: a serial `collect_violations` loop.
+        let mut serial = (0, Vec::new());
+        for (i, cache) in caches.iter().enumerate() {
+            serial.0 += o.collect_violations(ClientId(i as u32), cache, &mut serial.1);
+        }
         assert_eq!(serial.0, 7);
         assert_eq!(
             serial.1.iter().map(|v| v.client).collect::<Vec<_>>(),
             vec![ClientId(1), ClientId(3), ClientId(5)]
         );
-        for shards in [2usize, 3, 5, 7, 16] {
-            assert_eq!(o.scan(&refs, &pool, shards, 1), serial, "shards={shards}");
+        let pool = WorkerPool::new(3);
+        let all = [u64::MAX];
+        for shards in [1usize, 2, 3, 5, 7, 16] {
+            assert_eq!(
+                o.scan_cols(&caches, &all, &pool, shards, 1),
+                serial,
+                "shards={shards}"
+            );
         }
         // The work threshold only changes who scans, never the result.
-        assert_eq!(o.scan(&refs, &pool, 4, 4), serial);
-        // The columnar mask scan agrees with the pair-list scan at every
-        // geometry, including a partial mask.
-        let all = vec![true; caches.len()];
+        assert_eq!(o.scan_cols(&caches, &all, &pool, 4, 4), serial);
+        // A partial mask hides one violating client at every geometry.
+        let mask = [!(1u64 << 1)];
         for shards in [1usize, 2, 3, 5, 16] {
-            assert_eq!(o.scan_cols(&caches, &all, &pool, shards, 1), serial);
+            let masked = o.scan_cols(&caches, &mask, &pool, shards, 1);
+            assert_eq!(masked.0, 6);
+            assert_eq!(
+                masked.1.iter().map(|v| v.client).collect::<Vec<_>>(),
+                vec![ClientId(3), ClientId(5)]
+            );
         }
-        let mut mask = all.clone();
-        mask[1] = false; // hide one violating client
-        let masked = o.scan_cols(&caches, &mask, &pool, 3, 1);
-        assert_eq!(masked.0, 6);
-        assert_eq!(
-            masked.1.iter().map(|v| v.client).collect::<Vec<_>>(),
-            vec![ClientId(3), ClientId(5)]
-        );
     }
 
     #[test]

@@ -5,11 +5,13 @@
 //!
 //! Two phases carry real reduction logic and get pinned here:
 //!
-//! * the consistency oracle's full-cache scan ([`Oracle::scan`]) —
-//!   violations concatenated in client-index order across chunks;
+//! * the consistency oracle's masked cache-column scan
+//!   ([`Oracle::scan_cols`]) — violations concatenated in client-index
+//!   order across chunks, against a serial
+//!   [`Oracle::collect_violations`] loop as the reference;
 //! * the bit-sequences index build ([`BsIndex::build_sharded`]) —
-//!   per-chunk sorts reduced by a k-way merge that must equal the
-//!   serial full sort.
+//!   per-chunk sorts merged by a serial stable sort, which must equal
+//!   the serial full sort ([`BsIndex::build`]).
 //!
 //! The report fan-out itself is pinned end-to-end by the golden-digest
 //! thread matrix in `tests/determinism.rs`.
@@ -51,10 +53,11 @@ fn build_caches(specs: &CacheSpec) -> Vec<LruCache> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Sharded oracle scan ≡ serial scan: same evaluation count, same
-    /// violations, same order — over random update histories, random
-    /// cache contents (including limbo-exempt clients) and every shard
-    /// geometry from serial to more shards than clients.
+    /// Sharded oracle scan ≡ serial `collect_violations` loop: same
+    /// evaluation count, same violations, same order — over random
+    /// update histories, random cache contents (including limbo-exempt
+    /// clients), all-ones and partial masks, and every shard geometry
+    /// from serial to more shards than clients.
     #[test]
     fn sharded_oracle_scan_matches_serial(
         updates in prop::collection::vec((0u32..48, 0u16..500), 1..120),
@@ -72,39 +75,42 @@ proptest! {
             oracle.record_update(t(ts as f64), ItemId(item));
         }
         let caches = build_caches(&specs);
-        let refs: Vec<(ClientId, &LruCache)> = caches
-            .iter()
-            .enumerate()
-            .map(|(i, cache)| (ClientId(i as u32), cache))
-            .collect();
         let pool = WorkerPool::new(3);
-        let serial = oracle.scan(&refs, &pool, 1, 1);
-        let sharded = oracle.scan(&refs, &pool, max_shards, min_per_shard);
+        // The reference: a serial `collect_violations` loop over the
+        // clients a mask selects.
+        let serial_masked = |keep: &dyn Fn(usize) -> bool| {
+            let mut out = Vec::new();
+            let mut checks = 0;
+            for (i, cache) in caches.iter().enumerate() {
+                if keep(i) {
+                    checks += oracle.collect_violations(ClientId(i as u32), cache, &mut out);
+                }
+            }
+            (checks, out)
+        };
+        // All-ones mask: every client, at the serial geometry and at the
+        // sampled one.
+        let serial = serial_masked(&|_| true);
+        let all = vec![u64::MAX; caches.len().div_ceil(64)];
+        let one = oracle.scan_cols(&caches, &all, &pool, 1, 1);
+        prop_assert_eq!(&serial, &one, "single-chunk all-ones scan diverged");
+        let sharded = oracle.scan_cols(&caches, &all, &pool, max_shards, min_per_shard);
         prop_assert_eq!(&serial.0, &sharded.0, "check counts diverged");
         prop_assert_eq!(&serial.1, &sharded.1, "violation lists diverged");
-        // The columnar mask scan (the struct-of-arrays engine's path)
-        // must agree with the pair-list scan: all-true mask equals the
-        // unmasked scan, and a partial mask equals the masked serial
-        // reference, at every geometry.
-        let all = vec![true; caches.len()];
-        let cols = oracle.scan_cols(&caches, &all, &pool, max_shards, min_per_shard);
-        prop_assert_eq!(&serial, &cols, "columnar all-true scan diverged");
-        let mask: Vec<bool> = (0..caches.len()).map(|i| i % 2 == 0).collect();
-        let mut masked_out = Vec::new();
-        let mut masked_checks = 0;
-        for (i, cache) in caches.iter().enumerate() {
-            if mask[i] {
-                masked_checks += oracle.collect_violations(ClientId(i as u32), cache, &mut masked_out);
-            }
+        // A partial mask equals the masked serial reference at every
+        // geometry.
+        let mut mask = vec![0u64; caches.len().div_ceil(64)];
+        for i in (0..caches.len()).step_by(2) {
+            mask[i / 64] |= 1 << (i % 64);
         }
         let masked = oracle.scan_cols(&caches, &mask, &pool, max_shards, min_per_shard);
-        prop_assert_eq!((masked_checks, masked_out), masked, "masked columnar scan diverged");
+        prop_assert_eq!(serial_masked(&|i| i % 2 == 0), masked, "masked scan diverged");
         // And the serial scan must agree with the panicking per-client
         // API about whether the state is consistent at all.
         let clean = serial.1.is_empty();
         let per_client = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            for &(client, cache) in &refs {
-                oracle.assert_cache_consistent(client, cache);
+            for (i, cache) in caches.iter().enumerate() {
+                oracle.assert_cache_consistent(ClientId(i as u32), cache);
             }
         }));
         prop_assert_eq!(clean, per_client.is_ok());

@@ -30,7 +30,7 @@
 use mobicache_model::msg::SizeParams;
 use mobicache_model::units::{bits_per_id, Bits};
 use mobicache_model::ItemId;
-use mobicache_sim::pool::{shard_count, SendPtr, WorkerPool};
+use mobicache_sim::pool::{Chunks, WorkerPool};
 use mobicache_sim::SimTime;
 
 /// One level of the hierarchy: the `prefix_len` most recently updated
@@ -138,14 +138,19 @@ pub struct BsIndex {
 impl BsIndex {
     /// Builds the index: `O(|recency| · log |recency|)`, once per report.
     pub fn build(report: &BitSequences) -> Self {
-        let mut by_id: Vec<(ItemId, u32)> = report
+        let mut by_id = Self::ranked(report);
+        by_id.sort_unstable_by_key(|&(id, _)| id);
+        BsIndex { by_id }
+    }
+
+    /// `(item, recency rank)` in recency order: ranks are positions.
+    fn ranked(report: &BitSequences) -> Vec<(ItemId, u32)> {
+        report
             .recency
             .iter()
             .enumerate()
             .map(|(rank, &(id, _))| (id, rank as u32))
-            .collect();
-        by_id.sort_unstable_by_key(|&(id, _)| id);
-        BsIndex { by_id }
+            .collect()
     }
 
     /// The sorted `(item, recency rank)` pairs — exposed so tests can
@@ -154,63 +159,28 @@ impl BsIndex {
         &self.by_id
     }
 
-    /// [`BsIndex::build`] sharded over `pool`: the recency list is split
-    /// into contiguous chunks (so ranks stay a pure function of position),
-    /// each chunk sorted by item id in parallel, then reduced by a serial
-    /// k-way merge in chunk order. Item ids are unique within a report
-    /// (the server's recency index lists each item once), so the merge is
-    /// deterministic and equals the full sort — bit-identical to
-    /// [`BsIndex::build`] whatever the shard geometry.
+    /// [`BsIndex::build`] sharded over `pool`: the ranked recency list
+    /// is split into contiguous chunks, each chunk sorted by item id in
+    /// parallel, then the sorted runs are merged by a serial stable sort
+    /// (which detects runs). Item ids are unique within a report (the
+    /// server's recency index lists each item once), so any sort by id
+    /// equals the full sort — bit-identical to [`BsIndex::build`]
+    /// whatever the shard geometry.
     pub fn build_sharded(
         report: &BitSequences,
         pool: &WorkerPool,
         max_shards: usize,
         min_per_shard: usize,
     ) -> Self {
-        let recency = &report.recency;
-        let n = recency.len();
-        let t = shard_count(max_shards, n, min_per_shard);
-        if t <= 1 {
-            return Self::build(report);
-        }
-        let chunk = n.div_ceil(t);
-        let mut parts: Vec<Vec<(ItemId, u32)>> = (0..t).map(|_| Vec::new()).collect();
-        let parts_ptr = SendPtr(parts.as_mut_ptr());
-        pool.run(t, &|i| {
-            let start = i * chunk;
-            if start >= n {
-                return;
-            }
-            let end = (start + chunk).min(n);
-            // SAFETY: chunk `i` writes only to slot `i`.
-            let slot = unsafe { &mut *parts_ptr.get().add(i) };
-            *slot = recency[start..end]
-                .iter()
-                .enumerate()
-                .map(|(off, &(id, _))| (id, (start + off) as u32))
-                .collect();
-            slot.sort_unstable_by_key(|&(id, _)| id);
+        let mut by_id = Self::ranked(report);
+        let chunks = Chunks::new(by_id.len(), max_shards, min_per_shard, 1);
+        chunks.run(pool, by_id.chunks_mut(chunks.size()), |_, part| {
+            part.sort_unstable_by_key(|&(id, _)| id);
         });
-        let mut by_id = Vec::with_capacity(n);
-        let mut heads = vec![0usize; parts.len()];
-        loop {
-            let mut best: Option<usize> = None;
-            for (k, part) in parts.iter().enumerate() {
-                if heads[k] < part.len()
-                    && best.is_none_or(|b| part[heads[k]].0 < parts[b][heads[b]].0)
-                {
-                    best = Some(k);
-                }
-            }
-            match best {
-                Some(b) => {
-                    by_id.push(parts[b][heads[b]]);
-                    heads[b] += 1;
-                }
-                None => break,
-            }
+        if chunks.count() > 1 {
+            // Merge the sorted runs; one chunk already is the full sort.
+            by_id.sort_by_key(|&(id, _)| id);
         }
-        debug_assert_eq!(by_id.len(), n);
         BsIndex { by_id }
     }
 

@@ -14,7 +14,9 @@
 //! chunk writes only to its own slot, and the caller merges slots in
 //! chunk-index order after `run` returns — so results are bit-identical
 //! whether a chunk ran on a worker, on the caller, or everything ran
-//! inline on a pool with zero workers.
+//! inline on a pool with zero workers. [`Chunks`] is the one place that
+//! decides the geometry and hands chunk `i` slot `i`; the engine's
+//! sharded phases go through it rather than through [`WorkerPool::run`].
 //!
 //! Scheduling is work-claiming rather than work-assigning: chunks are
 //! claimed from a shared atomic counter by the caller *and* the
@@ -29,21 +31,17 @@
 //! and [`WorkerPool::run`] re-raises the first payload on the calling
 //! thread. Dropping the pool signals shutdown and joins every worker.
 
+use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
-/// A raw pointer wrapper asserting `Send`/`Sync`, for chunk tasks that
-/// address disjoint per-chunk slots of a caller-owned buffer.
-///
-/// # Safety contract (on the user)
-/// Tasks must only dereference the pointer at offsets owned by their
-/// own chunk, and the pointee must outlive the [`WorkerPool::run`]
-/// call — which it does when it lives on the caller's stack, because
-/// `run` does not return (even by unwinding) until every chunk has
-/// completed and every worker has released the job.
-pub struct SendPtr<T>(pub *mut T);
+/// A raw pointer wrapper asserting `Send`/`Sync`, so a chunk task can
+/// reach its own slot of a caller-owned buffer. Private to this module:
+/// outside the tests, [`Chunks::run`] is the only code that dereferences
+/// one, at offset `i` from chunk `i` alone.
+struct SendPtr<T>(*mut T);
 
 impl<T> SendPtr<T> {
     /// The wrapped pointer. Inside a chunk closure, always go through
@@ -52,7 +50,7 @@ impl<T> SendPtr<T> {
     /// and the closure would stop being `Sync`, while a method call
     /// captures the whole wrapper.
     #[inline]
-    pub fn get(self) -> *mut T {
+    fn get(self) -> *mut T {
         self.0
     }
 }
@@ -65,12 +63,10 @@ impl<T> Clone for SendPtr<T> {
     }
 }
 impl<T> Copy for SendPtr<T> {}
-impl<T> std::fmt::Debug for SendPtr<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("SendPtr").field(&self.0).finish()
-    }
-}
 
+// SAFETY: the only field is the pointer. Sending or sharing it lets
+// another thread reach a `T` (never a shared one: each offset has one
+// user), hence the `T: Send` bound on both impls.
 unsafe impl<T: Send> Send for SendPtr<T> {}
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
@@ -79,16 +75,133 @@ unsafe impl<T: Send> Sync for SendPtr<T> {}
 /// `min_per_shard > 1` — only as many as keep every chunk at least that
 /// big. Returns ≥ 1; `1` means "run serially on the caller".
 ///
-/// Chunk geometry is part of the determinism argument, so every sharded
-/// phase (engine fan-out, oracle scan, `BsIndex` build) derives its
-/// chunk count through this one function.
-pub fn shard_count(max_shards: usize, len: usize, min_per_shard: usize) -> usize {
+/// Chunk geometry is part of the determinism argument, so it is decided
+/// here and in [`Chunks::new`] only: no sharded phase computes its own.
+fn shard_count(max_shards: usize, len: usize, min_per_shard: usize) -> usize {
     let by_work = if min_per_shard > 1 {
         (len / min_per_shard).max(1)
     } else {
         len
     };
     max_shards.min(len).min(by_work).max(1)
+}
+
+/// The chunk geometry of one sharded phase: `len` items split into
+/// contiguous index ranges of `size` items (the last one shorter), in
+/// ascending order. Every sharded phase gets its geometry here and runs
+/// through [`Chunks::run`], which owns the rule that makes the phases
+/// deterministic: chunk `i` is handed slot `i` and touches no other, and
+/// the caller merges slots in chunk order afterwards.
+///
+/// ```
+/// use mobicache_sim::pool::Chunks;
+/// use mobicache_sim::WorkerPool;
+///
+/// let pool = WorkerPool::new(2);
+/// let data: Vec<u64> = (0..1_000).collect();
+/// // At most 4 chunks of at least 100 items, starts on multiples of 64.
+/// let chunks = Chunks::new(data.len(), 4, 100, 64);
+/// let mut sums = vec![0u64; chunks.count()];
+/// chunks.run(&pool, sums.iter_mut(), |range, sum| *sum = data[range].iter().sum());
+/// assert_eq!(sums.iter().sum::<u64>(), data.iter().sum());
+/// ```
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Chunks {
+    len: usize,
+    size: usize,
+}
+
+impl Chunks {
+    /// Splits `len` items into at most `max_shards` chunks, at most one
+    /// per item and — when `min_per_shard > 1` — only as many as keep
+    /// each chunk at least that big, every chunk start a multiple of
+    /// `align` (1 for none). Chunk geometry only decides who runs what:
+    /// a phase merged in chunk order gives the same result whatever it
+    /// is.
+    pub fn new(len: usize, max_shards: usize, min_per_shard: usize, align: usize) -> Self {
+        let t = shard_count(max_shards, len, min_per_shard);
+        let size = len.div_ceil(t).next_multiple_of(align.max(1)).max(1);
+        Chunks { len, size }
+    }
+
+    /// Items per chunk (the last chunk may hold fewer). Callers that
+    /// hand each chunk a sub-slice split it with `chunks_mut(size())`.
+    pub fn size(self) -> usize {
+        self.size
+    }
+
+    /// Number of chunks, ≥ 1; `1` runs on the caller.
+    pub fn count(self) -> usize {
+        self.len.div_ceil(self.size).max(1)
+    }
+
+    /// The item range of chunk `i`.
+    pub fn range(self, i: usize) -> Range<usize> {
+        let start = (i * self.size).min(self.len);
+        start..(start + self.size).min(self.len)
+    }
+
+    /// Runs `task(range(i), slot_i)` for every chunk `i`, where `slot_i`
+    /// is the `i`-th item of `slots`, and returns when all have run. One
+    /// chunk is a direct call on the caller: no allocation and no pool
+    /// handshake. Zero items run nothing.
+    ///
+    /// # Panics
+    /// Panics if `slots` yields fewer than [`Chunks::count`] items, and
+    /// re-raises the first panic of any chunk after every chunk has run.
+    pub fn run<S, I, F>(self, pool: &WorkerPool, slots: I, task: F)
+    where
+        S: Send,
+        I: IntoIterator<Item = S>,
+        F: Fn(Range<usize>, S) + Sync,
+    {
+        if self.len == 0 {
+            return;
+        }
+        let count = self.count();
+        if count == 1 {
+            let slot = slots.into_iter().next().expect("a slot for the one chunk");
+            task(0..self.len, slot);
+            return;
+        }
+        let mut slots: Vec<Option<S>> = slots.into_iter().take(count).map(Some).collect();
+        assert_eq!(slots.len(), count, "one slot per chunk");
+        let ptr = SendPtr(slots.as_mut_ptr());
+        pool.run(count, &|i| {
+            // SAFETY: chunk `i` is the only user of offset `i < count`,
+            // and `WorkerPool::run` returns (even by unwinding) only
+            // after every chunk is done, so `slots` outlives each use.
+            let slot = unsafe { (*ptr.get().add(i)).take() };
+            task(self.range(i), slot.expect("each slot is taken once"));
+        });
+    }
+}
+
+/// Calls `f(i)` for every set bit `i` of the bitmap `words` (bit `i` is
+/// bit `i % 64` of word `i / 64`) with `i` in `range`, in ascending
+/// order. A zero word costs one load, not 64 branches — this is how the
+/// broadcast phases walk a delivery mask over one chunk's clients.
+#[inline]
+pub fn for_each_set_bit(words: &[u64], range: Range<usize>, mut f: impl FnMut(usize)) {
+    let first = range.start / 64;
+    for (wi, &word) in words
+        .iter()
+        .enumerate()
+        .take(range.end.div_ceil(64))
+        .skip(first)
+    {
+        let mut w = word;
+        if wi == first {
+            w &= u64::MAX << (range.start % 64);
+        }
+        if (wi + 1) * 64 > range.end {
+            w &= (1u64 << (range.end % 64)) - 1;
+        }
+        while w != 0 {
+            f(wi * 64 + w.trailing_zeros() as usize);
+            w &= w - 1;
+        }
+    }
 }
 
 /// One published job: `chunks` work descriptors claimed from `next`,
@@ -334,6 +447,7 @@ fn worker_loop(shared: &Shared) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::sync::atomic::AtomicU64;
 
     #[test]
@@ -347,6 +461,152 @@ mod tests {
         assert_eq!(shard_count(4, 100, 64), 1);
         assert_eq!(shard_count(4, 129, 64), 2);
         assert_eq!(shard_count(4, 1_000, 64), 4);
+    }
+
+    /// The ranges `Chunks::run` hands out, in slot order, for every
+    /// geometry the tests sweep.
+    fn ranges_by_slot(pool: &WorkerPool, chunks: Chunks) -> Vec<Range<usize>> {
+        let mut got = vec![0..0; chunks.count()];
+        chunks.run(pool, got.iter_mut(), |range, slot| *slot = range);
+        got
+    }
+
+    const GEOMETRIES: [(usize, usize, usize, usize); 8] = [
+        (0, 4, 1, 1),
+        (1, 4, 1, 64),
+        (7, 3, 1, 1),
+        (9, 4, 1, 1),
+        (100, 4, 64, 64),
+        (1_000, 4, 64, 64),
+        (1_000, 7, 1, 1),
+        (5_000, 3, 10, 64),
+    ];
+
+    #[test]
+    fn chunks_cover_every_index_exactly_once() {
+        let pool = WorkerPool::new(3);
+        for (len, max, min, align) in GEOMETRIES {
+            let chunks = Chunks::new(len, max, min, align);
+            assert!(chunks.count() <= max.max(1), "{len}/{max}/{min}/{align}");
+            let hits: Vec<AtomicU64> = (0..len).map(|_| AtomicU64::new(0)).collect();
+            chunks.run(&pool, std::iter::repeat(()), |range, ()| {
+                for i in range {
+                    hits[i].fetch_add(1, Ordering::Relaxed);
+                }
+            });
+            assert!(
+                hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
+                "{len}/{max}/{min}/{align}"
+            );
+        }
+    }
+
+    #[test]
+    fn chunk_i_gets_slot_i_in_ascending_order() {
+        let pool = WorkerPool::new(3);
+        for (len, max, min, align) in GEOMETRIES {
+            let chunks = Chunks::new(len, max, min, align);
+            let got = ranges_by_slot(&pool, chunks);
+            let want: Vec<_> = (0..chunks.count()).map(|i| chunks.range(i)).collect();
+            assert_eq!(got, want, "{len}/{max}/{min}/{align}");
+            // Ascending and contiguous: each range starts where the
+            // previous one ended, and the last one ends at `len`.
+            let mut next = 0;
+            for r in &got {
+                assert_eq!(r.start, next);
+                assert!(len == 0 || r.start < r.end, "no empty chunk");
+                next = r.end;
+            }
+            assert_eq!(next, len);
+        }
+    }
+
+    #[test]
+    fn chunk_starts_are_aligned_when_asked() {
+        let pool = WorkerPool::new(2);
+        for len in [65usize, 200, 1_000, 4_097] {
+            for max in [2usize, 3, 4, 7] {
+                let chunks = Chunks::new(len, max, 1, 64);
+                assert!(chunks.count() > 1, "{len}/{max}");
+                for r in ranges_by_slot(&pool, chunks) {
+                    assert!(r.start.is_multiple_of(64), "{len}/{max}: {r:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_chunk_runs_on_the_caller_without_the_pool() {
+        let pool = WorkerPool::new(4);
+        let chunks = Chunks::new(1_000, 1, 1, 64);
+        assert_eq!(chunks.count(), 1);
+        let caller = std::thread::current().id();
+        let mut ran_on = None;
+        // A slot source that panics past its first item proves the one
+        // chunk collects no slot list, and hence never reaches the pool.
+        let slots = std::iter::once(&mut ran_on).chain(std::iter::from_fn(|| panic!("slot 1")));
+        chunks.run(&pool, slots, |range, slot| {
+            assert_eq!(range, 0..1_000);
+            *slot = Some(std::thread::current().id());
+        });
+        assert_eq!(ran_on, Some(caller));
+    }
+
+    #[test]
+    fn chunk_panic_is_reraised_after_every_chunk_ran() {
+        let pool = WorkerPool::new(3);
+        let chunks = Chunks::new(800, 8, 1, 1);
+        assert_eq!(chunks.count(), 8);
+        let mut done = vec![false; 8];
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            chunks.run(&pool, done.iter_mut(), |range, done| {
+                if range.start == 200 {
+                    panic!("chunk 2 exploded");
+                }
+                *done = true;
+            });
+        }));
+        let payload = result.expect_err("the chunk panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"chunk 2 exploded"));
+        let want: Vec<bool> = (0..8).map(|i| i != 2).collect();
+        assert_eq!(done, want, "the barrier waited for every other chunk");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The shared set-bit walker visits exactly the set bits inside
+        /// `[start, end)`, ascending — over word-aligned bounds and, as
+        /// the oracle's unaligned chunks need, arbitrary ones.
+        #[test]
+        fn set_bit_walker_visits_exactly_the_set_bits_in_range(
+            words in prop::collection::vec(
+                prop_oneof![
+                    Just(0u64),
+                    Just(u64::MAX),
+                    any::<u64>(),
+                ],
+                0..7,
+            ),
+            a in 0usize..8,
+            b in 0usize..8,
+            offs in (
+                prop_oneof![Just(0usize), 0usize..64],
+                prop_oneof![Just(0usize), 0usize..64],
+            ),
+        ) {
+            let bits = words.len() * 64;
+            let x = (a * 64 + offs.0).min(bits);
+            let y = (b * 64 + offs.1).min(bits);
+            let range = x.min(y)..x.max(y);
+            let want: Vec<usize> = range
+                .clone()
+                .filter(|&i| words[i / 64] >> (i % 64) & 1 == 1)
+                .collect();
+            let mut got = Vec::new();
+            for_each_set_bit(&words, range, |i| got.push(i));
+            prop_assert_eq!(got, want);
+        }
     }
 
     #[test]
