@@ -44,6 +44,17 @@ pub(crate) struct GapState {
     retries: u32,
 }
 
+/// How a report application answers its per-item lookups.
+enum Lookup<'r> {
+    /// The plan-less reference path: the prepared report's sorted
+    /// indexes.
+    Prepared(&'r PreparedReport<'r>),
+    /// The engine's path: the per-tick plan decoded from this report —
+    /// its bitmap for the word-wise intersection, its O(1) probes for
+    /// the per-item fallback — with the hit/miss tallies.
+    Plan(&'r PlanCache, &'r mut PlanStats),
+}
+
 /// One client's region of the pending arena.
 #[derive(Clone, Copy, Debug, Default)]
 struct Block {
@@ -549,46 +560,57 @@ impl ClientMut<'_> {
     /// [`PreparedReport`], appending the resulting actions to `actions`
     /// (which is *not* cleared).
     ///
-    /// The fan-out hot path: one report is applied by every connected
-    /// client, so with the index built once this pass is
-    /// `O(|cache| · log |report|)` and allocation-free (stale lists land
-    /// in a buffer owned by the client, actions in the caller's).
+    /// The plan-less reference path: with the index built once, this
+    /// pass is `O(|cache| · log |report|)` and allocation-free (stale
+    /// lists land in a buffer owned by the client, actions in the
+    /// caller's).
     pub fn on_report_into(
         &mut self,
         now: SimTime,
         prepared: &PreparedReport<'_>,
         actions: &mut Vec<ClientAction>,
     ) {
-        let mut stats = PlanStats::default();
-        self.on_report_planned(now, prepared, None, actions, &mut stats);
+        self.on_report(now, prepared.payload(), Lookup::Prepared(prepared), actions);
     }
 
-    /// [`ClientMut::on_report_into`] with an optional pre-decoded
-    /// invalidation plan: when `plan` holds this report's bitmap for the
-    /// client's `Tlb` bucket, the stale set comes from a word-wise
-    /// `plan & member` intersection instead of the per-item index walk —
-    /// same stale set, same actions, same counters (the plan is an
-    /// evaluation strategy, pinned by the `plan ≡ decide` proptests and
-    /// the engine's golden digests). Hit/fallback tallies land in
-    /// `stats` (not cleared).
+    /// [`ClientMut::on_report_into`] through the per-tick invalidation
+    /// plan decoded from `payload` (`plan` must hold that decode — the
+    /// engine's fan-out path). When the plan's bitmap serves the
+    /// client's `Tlb` bucket and the cache is large enough to profit,
+    /// the stale set comes from a word-wise `plan & member`
+    /// intersection; otherwise the cache is walked with the plan's O(1)
+    /// per-item probes. Same stale set, same actions, same counters as
+    /// the prepared path (the plan is an evaluation strategy, pinned by
+    /// the `plan ≡ decide` proptests and the engine's golden digests).
+    /// Hit/fallback tallies land in `stats` (not cleared).
     pub fn on_report_planned(
         &mut self,
         now: SimTime,
-        prepared: &PreparedReport<'_>,
-        plan: Option<&PlanCache>,
+        payload: &ReportPayload,
+        plan: &PlanCache,
         actions: &mut Vec<ClientAction>,
         stats: &mut PlanStats,
     ) {
+        self.on_report(now, payload, Lookup::Plan(plan, stats), actions);
+    }
+
+    fn on_report(
+        &mut self,
+        now: SimTime,
+        payload: &ReportPayload,
+        lookup: Lookup<'_>,
+        actions: &mut Vec<ClientAction>,
+    ) {
         assert!(*self.connected, "report delivered to a disconnected client");
-        self.apply_report(now, prepared, plan, actions, stats);
-        *self.tlb = prepared.payload().broadcast_at();
+        self.apply_report(now, payload, lookup, actions);
+        *self.tlb = payload.broadcast_at();
         self.resolve_query(now, actions);
         self.retry_pending_requests(now, actions);
     }
 
     /// Whether applying `plan` beats the per-item walk for this cache:
     /// the word loop touches `min(|member|, |plan|)` words, the per-item
-    /// walk does `|cache|` binary searches. A pure function of
+    /// walk does `|cache|` probes. A pure function of
     /// client-local state, so the choice is identical at every thread
     /// count.
     fn plan_profitable(plan: &PlanCache, cache: &LruCache) -> bool {
@@ -769,12 +791,10 @@ impl ClientMut<'_> {
     fn apply_report(
         &mut self,
         now: SimTime,
-        prepared: &PreparedReport<'_>,
-        plan: Option<&PlanCache>,
+        payload: &ReportPayload,
+        lookup: Lookup<'_>,
         actions: &mut Vec<ClientAction>,
-        stats: &mut PlanStats,
     ) {
-        let payload = prepared.payload();
         let etlb = self.effective_tlb();
         debug_assert!(self.stale_scratch.is_empty(), "scratch not drained");
         // A report vouches for the database state at its *broadcast* time,
@@ -812,10 +832,10 @@ impl ClientMut<'_> {
                 // window plan is Tlb-independent (listed bitmap + dense
                 // timestamps), so every client can take it; the per-item
                 // `is_stale` test (`version < t_listed`) becomes the
-                // `keep` filter over the few intersection survivors.
-                let idx = prepared.window_index().expect("window report was prepared");
-                match plan {
-                    Some(p) if p.window_active() && Self::plan_profitable(p, self.cache) => {
+                // `keep` filter over the few intersection survivors, or
+                // the probe of the per-item walk.
+                match lookup {
+                    Lookup::Plan(p, stats) if Self::plan_profitable(p, self.cache) => {
                         let cache = &*self.cache;
                         p.intersect_into(cache.member_words(), self.stale_scratch, |item| {
                             cache
@@ -824,11 +844,18 @@ impl ClientMut<'_> {
                         });
                         stats.hits += 1;
                     }
-                    Some(_) => {
-                        idx.stale_into(self.cache.items_iter(), self.stale_scratch);
+                    Lookup::Plan(p, stats) => {
+                        for (item, version) in self.cache.items_iter() {
+                            if p.listed(item) && version < p.listed_ts(item) {
+                                self.stale_scratch.push(item);
+                            }
+                        }
                         stats.misses += 1;
                     }
-                    None => idx.stale_into(self.cache.items_iter(), self.stale_scratch),
+                    Lookup::Prepared(prep) => prep
+                        .window_index()
+                        .expect("window report was prepared")
+                        .stale_into(self.cache.items_iter(), self.stale_scratch),
                 }
                 self.cache.invalidate_many(self.stale_scratch.drain(..));
                 if w.covers(etlb) {
@@ -843,37 +870,35 @@ impl ClientMut<'_> {
                 // is the selected prefix length: a client whose `select`
                 // lands on the plan's pre-decoded bucket (the dominant
                 // Tlb — everyone who heard the previous report) takes the
-                // bitmap; other buckets fall back to `is_marked` per
+                // bitmap; other buckets probe the plan's rank column per
                 // item. Clean/DropAll verdicts are O(1) either way.
-                let idx = prepared.bs_index().expect("BS report was prepared");
-                let sel = match plan {
-                    Some(p) => {
-                        let sel = bs.select(etlb);
-                        if let BsSelect::Prefix(prefix) = sel {
-                            if p.bs_prefix() == Some(prefix) && Self::plan_profitable(p, self.cache)
-                            {
-                                p.intersect_into(
-                                    self.cache.member_words(),
-                                    self.stale_scratch,
-                                    |_| true,
-                                );
-                                stats.hits += 1;
-                            } else {
-                                for (item, _) in self.cache.items_iter() {
-                                    if idx.is_marked(item, prefix) {
-                                        self.stale_scratch.push(item);
-                                    }
-                                }
-                                stats.misses += 1;
-                            }
+                let sel = bs.select(etlb);
+                if let BsSelect::Prefix(prefix) = sel {
+                    match lookup {
+                        Lookup::Plan(p, stats)
+                            if p.bs_prefix() == Some(prefix)
+                                && Self::plan_profitable(p, self.cache) =>
+                        {
+                            p.intersect_into(self.cache.member_words(), self.stale_scratch, |_| {
+                                true
+                            });
+                            stats.hits += 1;
                         }
-                        sel
+                        Lookup::Plan(p, stats) => {
+                            for (item, _) in self.cache.items_iter() {
+                                if p.bs_marked(item, prefix) {
+                                    self.stale_scratch.push(item);
+                                }
+                            }
+                            stats.misses += 1;
+                        }
+                        Lookup::Prepared(prep) => {
+                            let idx = prep.bs_index().expect("BS report was prepared");
+                            let cached = self.cache.items_iter().map(|(i, _)| i);
+                            bs.decide_with(idx, etlb, cached, self.stale_scratch);
+                        }
                     }
-                    None => {
-                        let cached = self.cache.items_iter().map(|(i, _)| i);
-                        bs.decide_with(idx, etlb, cached, self.stale_scratch)
-                    }
-                };
+                }
                 match sel {
                     BsSelect::Clean => {
                         self.resolve_gap();
@@ -897,31 +922,28 @@ impl ClientMut<'_> {
                 // The AT listed-item bitmap is Tlb-independent; coverage
                 // stays a scalar check (an uncovered client drops its
                 // whole cache without touching the plan).
-                let idx = prepared.at_index().expect("AT report was prepared");
-                let covered = match plan {
-                    Some(p) if at.covers(etlb) => {
-                        if p.at_active() && Self::plan_profitable(p, self.cache) {
+                if at.covers(etlb) {
+                    match lookup {
+                        Lookup::Plan(p, stats) if Self::plan_profitable(p, self.cache) => {
                             p.intersect_into(self.cache.member_words(), self.stale_scratch, |_| {
                                 true
                             });
                             stats.hits += 1;
-                        } else {
+                        }
+                        Lookup::Plan(p, stats) => {
                             for (item, _) in self.cache.items_iter() {
-                                if idx.contains(item) {
+                                if p.listed(item) {
                                     self.stale_scratch.push(item);
                                 }
                             }
                             stats.misses += 1;
                         }
-                        true
+                        Lookup::Prepared(prep) => {
+                            let idx = prep.at_index().expect("AT report was prepared");
+                            let cached = self.cache.items_iter().map(|(i, _)| i);
+                            at.decide_with(idx, etlb, cached, self.stale_scratch);
+                        }
                     }
-                    Some(_) => false,
-                    None => {
-                        let cached = self.cache.items_iter().map(|(i, _)| i);
-                        at.decide_with(idx, etlb, cached, self.stale_scratch)
-                    }
-                };
-                if covered {
                     self.cache.invalidate_many(self.stale_scratch.drain(..));
                     self.resolve_gap();
                     self.cache.revalidate_all(report_asof);
@@ -1270,7 +1292,7 @@ mod tests {
     use super::*;
     use crate::Client;
     use mobicache_model::ClientId;
-    use mobicache_reports::WindowReport;
+    use mobicache_reports::{AtReport, BitSequences, WindowReport};
 
     fn t(s: f64) -> SimTime {
         SimTime::from_secs(s)
@@ -1423,6 +1445,113 @@ mod tests {
                 b.sort_unstable();
                 assert_eq!(a, b, "{scheme:?} client {i} cache diverged");
             }
+        }
+    }
+
+    /// The engine's planned path (plan bitmap, or the plan's O(1)
+    /// probes) leaves every client exactly as the prepared reference
+    /// path does, for each report kind with a plan: clients in the
+    /// dominant `Tlb` bucket and outside it, caches on both sides of the
+    /// profitability rule.
+    #[test]
+    fn planned_path_matches_prepared_path() {
+        const DB: u32 = 4096;
+        let listed: Vec<ItemId> = (0..300).map(|i| ItemId(i * 7 % DB)).collect();
+        let recency: Vec<(ItemId, SimTime)> = listed
+            .iter()
+            .enumerate()
+            .map(|(r, &id)| (id, t(99.9 - r as f64 * 0.3)))
+            .collect();
+        let window_at = |at: f64, records: Vec<(ItemId, SimTime)>| {
+            ReportPayload::Window(WindowReport {
+                broadcast_at: t(at),
+                window_start: t(0.0),
+                records,
+                dummy: None,
+            })
+        };
+        let at_report = |at: f64, prev: f64, items: Vec<ItemId>| {
+            ReportPayload::At(AtReport {
+                broadcast_at: t(at),
+                prev_broadcast: t(prev),
+                items,
+            })
+        };
+        // The earlier report lists other items, so leftovers of its
+        // decode in the plan would show.
+        let others: Vec<(ItemId, SimTime)> = (0..300)
+            .map(|k| (ItemId(k * 7 + 1), t(40.0 - k as f64 * 0.1)))
+            .collect();
+        let other_ids: Vec<ItemId> = others.iter().map(|&(id, _)| id).collect();
+        // (scheme, an earlier report heard by the even clients only, the
+        // report under test). Dominant Tlb = 50: under BS, Tlb 50 selects
+        // the 256-prefix and Tlb 0 the 512-prefix; an AT client at Tlb 0
+        // is not covered.
+        let cases = [
+            (
+                Scheme::Bs,
+                ReportPayload::BitSeq(BitSequences::from_recency(t(50.0), DB, others.clone())),
+                ReportPayload::BitSeq(BitSequences::from_recency(t(100.0), DB, recency.clone())),
+            ),
+            (
+                Scheme::TsNoCheck,
+                window_at(50.0, others.clone()),
+                window_at(100.0, recency.clone()),
+            ),
+            (
+                Scheme::At,
+                at_report(50.0, 0.0, other_ids),
+                at_report(100.0, 50.0, listed.clone()),
+            ),
+        ];
+        for (scheme, earlier, report) in cases {
+            let n = 16;
+            let mut reference = ClientPop::new(cfg(scheme), n);
+            let mut planned = ClientPop::new(cfg(scheme), n);
+            let earlier_prep = earlier.prepare();
+            for pop in [&mut reference, &mut planned] {
+                for i in 0..n {
+                    let mut acts = Vec::new();
+                    if i % 2 == 0 {
+                        pop.client_mut(i)
+                            .on_report_into(t(50.0), &earlier_prep, &mut acts);
+                    }
+                    // Client i caches i % 8 + 1 items, listed in the
+                    // report under test or in the earlier one, at versions
+                    // both older and newer than the listing.
+                    for j in 0..=(i % 8) {
+                        let item = ItemId(((i * 31 + j * 37) % 300 * 7 + j % 2) as u32 % DB);
+                        let version = t(10.0 + 12.0 * j as f64);
+                        pop.client_mut(i).on_snooped_data(t(60.0), item, version);
+                    }
+                }
+            }
+            let mut plan = PlanCache::new();
+            plan.decode_for_tick(&earlier, t(0.0), DB);
+            plan.decode_for_tick(&report, t(50.0), DB);
+            let prepared = report.prepare();
+            let mut stats = PlanStats::default();
+            for i in 0..n {
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                reference
+                    .client_mut(i)
+                    .on_report_into(t(100.0), &prepared, &mut a);
+                planned.client_mut(i).on_report_planned(
+                    t(100.0),
+                    &report,
+                    &plan,
+                    &mut b,
+                    &mut stats,
+                );
+                assert_eq!(a, b, "{scheme:?} client {i} actions");
+                assert_eq!(reference.counters(i), planned.counters(i));
+                let mut ca: Vec<_> = reference.cache(i).entries_iter().collect();
+                let mut cb: Vec<_> = planned.cache(i).entries_iter().collect();
+                ca.sort_unstable_by_key(|e| e.0);
+                cb.sort_unstable_by_key(|e| e.0);
+                assert_eq!(ca, cb, "{scheme:?} client {i} cache");
+            }
+            assert!(stats.hits > 0 && stats.misses > 0, "{scheme:?}: {stats:?}");
         }
     }
 

@@ -21,7 +21,7 @@ use mobicache_client::{ClientAction, ClientConfig, ClientCounters, ClientMut, Cl
 use mobicache_model::msg::{DownlinkKind, SizeParams, UplinkKind, CLASS_CHECK, CLASS_REPORT};
 use mobicache_model::{ChannelFaults, ClientId, ConfigError, DownlinkTopology, ItemId, SimConfig};
 use mobicache_net::Channel;
-use mobicache_reports::{BsIndex, PlanCache, PlanStats, PreparedReport, ReportPayload};
+use mobicache_reports::{PlanCache, PlanStats, ReportPayload};
 use mobicache_server::{Server, ServerCounters};
 use mobicache_sim::pool::{for_each_set_bit, Chunks, WorkerPool};
 use mobicache_sim::{Exp, Histogram, OnlineStats, Scheduler, SimRng, SimTime, StreamId};
@@ -219,9 +219,13 @@ pub struct Simulation<'p> {
     /// Per-client fault streams (Gilbert–Elliott transitions, downlink-
     /// and uplink-loss coins), advanced only in the serial phases so
     /// enabling faults never perturbs the workload streams and the coin
-    /// schedule is thread-invariant. Untouched while no fault is active.
+    /// schedule is thread-invariant. Empty unless a fault source can
+    /// draw (downlink loss or uplink loss), like `rng_mobility` at one
+    /// cell: streams are derived per client, so skipping them moves
+    /// nothing.
     rng_faults: Vec<SimRng>,
-    /// Per-client Gilbert–Elliott channel state (`true` = in a burst).
+    /// Per-client Gilbert–Elliott channel state (`true` = in a burst);
+    /// empty exactly when `rng_faults` is.
     ge_bad: Vec<bool>,
     /// Per-client mobility streams (cell residency, roam choice) —
     /// empty in the single-cell topology, so legacy runs derive no
@@ -427,6 +431,22 @@ impl<'p> Simulation<'p> {
             }));
         }
 
+        // Fault streams: only downlink loss (`lossy_report_mask`) and
+        // uplink loss (`apply_action`) draw from them, so a fault-free
+        // run derives none.
+        let eff_downlink = cfg.faults.downlink.with_independent_loss(cfg.p_report_loss);
+        let (rng_faults, ge_bad) = if eff_downlink.is_active() || cfg.faults.p_uplink_loss > 0.0 {
+            let n = cfg.num_clients;
+            (
+                (0..n)
+                    .map(|c| SimRng::for_stream(cfg.seed, StreamId::Fault(c)))
+                    .collect(),
+                vec![false; n as usize],
+            )
+        } else {
+            (Vec::new(), Vec::new())
+        };
+
         // Cell-major downlink layout: each cell broadcasts on its own
         // channel(s); one cell reproduces the legacy layout exactly.
         let mut downlinks = Vec::with_capacity(cells * 2);
@@ -469,10 +489,8 @@ impl<'p> Simulation<'p> {
             ),
             rng_update,
             rng_clients,
-            rng_faults: (0..cfg.num_clients)
-                .map(|c| SimRng::for_stream(cfg.seed, StreamId::Fault(c)))
-                .collect(),
-            ge_bad: vec![false; cfg.num_clients as usize],
+            rng_faults,
+            ge_bad,
             rng_mobility,
             residency,
             query_after_handoff: vec![
@@ -484,7 +502,7 @@ impl<'p> Simulation<'p> {
                 }
             ],
             mobility: MobilityMetrics::default(),
-            eff_downlink: cfg.faults.downlink.with_independent_loss(cfg.p_report_loss),
+            eff_downlink,
             down_depth: 0,
             crash_pending_since: None,
             recovery_latency_sum: 0.0,
@@ -952,22 +970,6 @@ impl<'p> Simulation<'p> {
     /// in three phases: a serial delivery mask, a parallel fan-out, and
     /// a serial merge in client-index order.
     fn deliver_report(&mut self, now: SimTime, cell: usize, report: &ReportPayload, bits: f64) {
-        // Index the report once; every client of the fan-out shares it.
-        // The BS index — the one kind whose build is O(N) in the
-        // database — is built through the pool, sharded over the
-        // recency list.
-        let prepared = match report {
-            ReportPayload::BitSeq(bs) => PreparedReport::with_bs_index(
-                report,
-                BsIndex::build_sharded(
-                    bs,
-                    &self.pool,
-                    self.shards.len(),
-                    self.cfg.pool_min_shard_items as usize,
-                ),
-            ),
-            _ => report.prepare(),
-        };
         // Phase 0 (serial): decide who hears this broadcast. Fault coins
         // stay in client-index order on dedicated per-client streams, so
         // the coin schedule matches the serial engine at any thread
@@ -977,10 +979,11 @@ impl<'p> Simulation<'p> {
         } else {
             self.deliver_mask(cell, None, bits)
         };
-        // Decode this tick's invalidation plan once (serial), keyed by
-        // the dominant Tlb bucket: every client that heard the previous
-        // report holds exactly its broadcast time. Shards then read the
-        // plan lock-free.
+        // Decode the report once (serial) into this tick's plan — the
+        // only per-report decode: its bitmap is keyed by the dominant
+        // Tlb bucket (every client that heard the previous report holds
+        // exactly its broadcast time), and its per-item probes serve
+        // every other client. Shards then read the plan lock-free.
         let mut plan = std::mem::take(&mut self.plans[cell]);
         plan.decode_for_tick(report, self.prev_report_at[cell], self.cfg.db_size);
         // Phase 1 (parallel): each client applies the report, appending
@@ -989,7 +992,7 @@ impl<'p> Simulation<'p> {
         self.fan_out(&deliver, |i, mut client, sh| {
             let before = probing.then(|| (client.counters(), client.cache().evictions()));
             let a0 = sh.actions.len();
-            client.on_report_planned(now, &prepared, Some(&plan), &mut sh.actions, &mut sh.plan);
+            client.on_report_planned(now, report, &plan, &mut sh.actions, &mut sh.plan);
             sh.outcomes.push(ShardOutcome {
                 client: i,
                 actions: (sh.actions.len() - a0) as u32,

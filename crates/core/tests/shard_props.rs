@@ -1,17 +1,13 @@
 //! Property tests for the sharded tick phases: whatever the randomized
-//! state and shard geometry, the pool-sharded implementations must
-//! report exactly what their serial counterparts report, in the same
+//! state and shard geometry, the pool-sharded implementation must
+//! report exactly what its serial counterpart reports, in the same
 //! order.
 //!
-//! Two phases carry real reduction logic and get pinned here:
-//!
-//! * the consistency oracle's masked cache-column scan
-//!   ([`Oracle::scan_cols`]) — violations concatenated in client-index
-//!   order across chunks, against a serial
-//!   [`Oracle::collect_violations`] loop as the reference;
-//! * the bit-sequences index build ([`BsIndex::build_sharded`]) —
-//!   per-chunk sorts merged by a serial stable sort, which must equal
-//!   the serial full sort ([`BsIndex::build`]).
+//! The one phase that carries real reduction logic is pinned here: the
+//! consistency oracle's masked cache-column scan
+//! ([`Oracle::scan_cols`]) — violations concatenated in client-index
+//! order across chunks, against a serial
+//! [`Oracle::collect_violations`] loop as the reference.
 //!
 //! The report fan-out itself is pinned end-to-end by the golden-digest
 //! thread matrix in `tests/determinism.rs`.
@@ -20,7 +16,6 @@ use mobicache::oracle::Oracle;
 use mobicache::WorkerPool;
 use mobicache_cache::LruCache;
 use mobicache_model::{ClientId, ItemId};
-use mobicache_reports::{BitSequences, BsIndex};
 use mobicache_sim::SimTime;
 use proptest::prelude::*;
 
@@ -114,28 +109,5 @@ proptest! {
             }
         }));
         prop_assert_eq!(clean, per_client.is_ok());
-    }
-
-    /// Sharded BS index build ≡ serial build, entry for entry, over
-    /// random recency lists (unique items, descending timestamps — the
-    /// server's invariant) and every shard geometry.
-    #[test]
-    fn sharded_bs_index_build_matches_serial(
-        items in prop::collection::hash_set(0u32..2_000, 0..200),
-        db_size in 16u32..4_096,
-        max_shards in 1usize..9,
-        min_per_shard in 1usize..40,
-    ) {
-        // Unique ids with strictly descending synthetic timestamps.
-        let recency: Vec<(ItemId, SimTime)> = items
-            .iter()
-            .enumerate()
-            .map(|(k, &id)| (ItemId(id), t(1_000_000.0 - k as f64)))
-            .collect();
-        let bs = BitSequences::from_recency(t(1_000_001.0), db_size, recency);
-        let pool = WorkerPool::new(3);
-        let serial = BsIndex::build(&bs);
-        let sharded = BsIndex::build_sharded(&bs, &pool, max_shards, min_per_shard);
-        prop_assert_eq!(serial.entries(), sharded.entries());
     }
 }

@@ -38,9 +38,10 @@ pub enum AtDecision {
 }
 
 /// A build-once membership index over an [`AtReport`]'s item list:
-/// sorted ids, queried by binary search. Shared across the broadcast
-/// fan-out so each client's pass is `O(|cache| · log |items|)` with no
-/// per-client `HashSet`.
+/// sorted ids, queried by binary search. Shared across clients so each
+/// client's pass is `O(|cache| · log |items|)` with no per-client
+/// `HashSet`. The engine's fan-out probes the listed bitmap of a
+/// [`crate::PlanCache`] instead.
 #[derive(Clone, Debug)]
 pub struct AtIndex {
     sorted: Vec<ItemId>,

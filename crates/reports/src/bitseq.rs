@@ -30,7 +30,6 @@
 use mobicache_model::msg::SizeParams;
 use mobicache_model::units::{bits_per_id, Bits};
 use mobicache_model::ItemId;
-use mobicache_sim::pool::{Chunks, WorkerPool};
 use mobicache_sim::SimTime;
 
 /// One level of the hierarchy: the `prefix_len` most recently updated
@@ -128,7 +127,9 @@ pub enum BsSelect {
 /// item's recency rank, sorted by item id. A cached item is stale at a
 /// selected level exactly when its rank is inside the level's prefix, so
 /// the per-client pass is `O(|cache| · log |recency|)` with no
-/// allocation — no per-client `HashSet` of the whole cache.
+/// allocation — no per-client `HashSet` of the whole cache. The engine's
+/// fan-out reads the same ranks from the dense column of a
+/// [`crate::PlanCache`] instead.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BsIndex {
     /// `(item, recency rank)`, sorted by item id.
@@ -138,49 +139,13 @@ pub struct BsIndex {
 impl BsIndex {
     /// Builds the index: `O(|recency| · log |recency|)`, once per report.
     pub fn build(report: &BitSequences) -> Self {
-        let mut by_id = Self::ranked(report);
-        by_id.sort_unstable_by_key(|&(id, _)| id);
-        BsIndex { by_id }
-    }
-
-    /// `(item, recency rank)` in recency order: ranks are positions.
-    fn ranked(report: &BitSequences) -> Vec<(ItemId, u32)> {
-        report
+        let mut by_id: Vec<(ItemId, u32)> = report
             .recency
             .iter()
             .enumerate()
             .map(|(rank, &(id, _))| (id, rank as u32))
-            .collect()
-    }
-
-    /// The sorted `(item, recency rank)` pairs — exposed so tests can
-    /// compare a sharded build against a serial one structurally.
-    pub fn entries(&self) -> &[(ItemId, u32)] {
-        &self.by_id
-    }
-
-    /// [`BsIndex::build`] sharded over `pool`: the ranked recency list
-    /// is split into contiguous chunks, each chunk sorted by item id in
-    /// parallel, then the sorted runs are merged by a serial stable sort
-    /// (which detects runs). Item ids are unique within a report (the
-    /// server's recency index lists each item once), so any sort by id
-    /// equals the full sort — bit-identical to [`BsIndex::build`]
-    /// whatever the shard geometry.
-    pub fn build_sharded(
-        report: &BitSequences,
-        pool: &WorkerPool,
-        max_shards: usize,
-        min_per_shard: usize,
-    ) -> Self {
-        let mut by_id = Self::ranked(report);
-        let chunks = Chunks::new(by_id.len(), max_shards, min_per_shard, 1);
-        chunks.run(pool, by_id.chunks_mut(chunks.size()), |_, part| {
-            part.sort_unstable_by_key(|&(id, _)| id);
-        });
-        if chunks.count() > 1 {
-            // Merge the sorted runs; one chunk already is the full sort.
-            by_id.sort_by_key(|&(id, _)| id);
-        }
+            .collect();
+        by_id.sort_unstable_by_key(|&(id, _)| id);
         BsIndex { by_id }
     }
 
@@ -606,23 +571,6 @@ mod tests {
                     assert_eq!(out, stale, "tlb {tlb}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn sharded_index_build_matches_serial() {
-        let pool = WorkerPool::new(3);
-        // Sizes chosen to exercise empty, single-entry, non-dividing and
-        // larger-than-shard-count recency lists.
-        for n in [0usize, 1, 2, 7, 8, 40] {
-            let bs = BitSequences::from_recency(t(2000.0), 128, recency(n));
-            let serial = BsIndex::build(&bs);
-            for shards in [1usize, 2, 3, 5, 16] {
-                let sharded = BsIndex::build_sharded(&bs, &pool, shards, 1);
-                assert_eq!(serial, sharded, "n={n} shards={shards}");
-            }
-            // A min-items threshold changes who builds, never the result.
-            assert_eq!(serial, BsIndex::build_sharded(&bs, &pool, 4, 16));
         }
     }
 

@@ -78,11 +78,11 @@ enum PreparedIndex {
 
 /// A [`ReportPayload`] paired with its build-once lookup index.
 ///
-/// One broadcast report is applied by every connected client, so the
-/// simulator prepares the report once per delivery and routes the whole
-/// fan-out through the shared index: each client's pass is then
-/// `O(|cache| · log |report|)` with no per-client sorting, hashing or
-/// allocation.
+/// One prepared report can be applied by many clients: each client's
+/// pass is then `O(|cache| · log |report|)` with no per-client sorting,
+/// hashing or allocation. This is the plan-less reference path
+/// (`Client::on_report_into`); the engine's broadcast fan-out decodes
+/// each report once into a `PlanCache` instead and builds no index.
 pub struct PreparedReport<'a> {
     payload: &'a ReportPayload,
     index: PreparedIndex,
@@ -90,7 +90,7 @@ pub struct PreparedReport<'a> {
 
 impl<'a> PreparedReport<'a> {
     /// Indexes `payload` — `O(|report| · log |report|)`, once per
-    /// broadcast delivery.
+    /// report.
     pub fn new(payload: &'a ReportPayload) -> Self {
         let index = match payload {
             ReportPayload::Window(w) => PreparedIndex::Window(w.index()),
@@ -99,21 +99,6 @@ impl<'a> PreparedReport<'a> {
             ReportPayload::Sig(..) => PreparedIndex::Sig,
         };
         PreparedReport { payload, index }
-    }
-
-    /// Pairs a [`ReportPayload::BitSeq`] with an externally built index —
-    /// the engine builds it through the worker pool via
-    /// [`BsIndex::build_sharded`]. For any other payload kind the index
-    /// argument is meaningless, so this falls back to
-    /// [`PreparedReport::new`].
-    pub fn with_bs_index(payload: &'a ReportPayload, index: BsIndex) -> Self {
-        match payload {
-            ReportPayload::BitSeq(_) => PreparedReport {
-                payload,
-                index: PreparedIndex::BitSeq(index),
-            },
-            _ => PreparedReport::new(payload),
-        }
     }
 
     /// The underlying report.

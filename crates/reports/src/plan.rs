@@ -1,36 +1,40 @@
-//! Per-tick invalidation **plans**: one report decoded once into a dense
-//! stale bitmap over `ItemId`, applied to each cache by a word-wise AND.
+//! Per-tick invalidation **plans**: one report decoded once into dense
+//! per-item tables over `ItemId`, applied to each cache by a word-wise
+//! AND or, for caches too small to profit, by O(1) per-item probes.
 //!
-//! The per-item fan-out path (`WindowIndex::is_stale` /
-//! `BsIndex::is_marked` per cached entry) pays `O(|cache| · log |report|)`
-//! per client even though almost every connected client holds the same
-//! effective `Tlb` (the previous report's timestamp) and therefore
-//! computes the *same* stale set. A [`PlanCache`] flips the loop: decode
-//! the report into `db_size` bits once per tick, memoized by the `Tlb`
-//! bucket the decode depends on, then each client intersects the plan
-//! with its own cache-membership bitmap — visiting only non-zero words —
-//! instead of re-deriving the decision item by item.
+//! Every connected client applies the same broadcast report, and almost
+//! every one holds the same effective `Tlb` (the previous report's
+//! timestamp) and therefore computes the *same* stale set. A
+//! [`PlanCache`] flips the loop: decode the report into `db_size`-wide
+//! tables once per tick, then each client either intersects the stale
+//! bitmap with its own cache-membership bitmap — visiting only non-zero
+//! words — or probes the tables item by item. The decode is the engine's
+//! only per-report decode: no sorted index is built per delivery.
 //!
-//! Per report kind the `Tlb` bucket degenerates differently:
+//! Per report kind:
 //!
 //! * **Window** — the provably-stale set (`version < t_listed`) is
 //!   `Tlb`-independent: the listed-item bitmap plus a dense timestamp
-//!   table serve *every* client; coverage (`covers(tlb)`) stays a cheap
+//!   table serve *every* client ([`PlanCache::listed`] +
+//!   [`PlanCache::listed_ts`]); coverage (`covers(tlb)`) stays a cheap
 //!   per-client scalar check.
-//! * **Bit-sequences** — staleness is pure prefix membership, a function
-//!   of `select(tlb)` alone, so the bucket key is the selected prefix
-//!   length. The engine pre-decodes the dominant bucket (the previous
-//!   report's broadcast time — every client that heard it lands there);
-//!   other buckets fall back to the per-item path.
+//! * **Bit-sequences** — staleness is pure prefix membership: an item is
+//!   marked at a level iff its recency rank is below the level's prefix
+//!   length. Every decode fills a dense rank column for the whole
+//!   recency list, so [`PlanCache::bs_marked`] answers every `Tlb`
+//!   bucket. The engine also pre-decodes the dominant bucket (the
+//!   previous report's broadcast time — every client that heard it lands
+//!   there) into a prefix bitmap for the word-wise path.
 //! * **AT** — the listed-item bitmap is `Tlb`-independent; coverage is a
 //!   scalar check, an uncovered client drops its whole cache anyway.
 //! * **SIG** — no plan: the verdict depends on each client's stored
 //!   signature baseline, which is per-client by construction.
 //!
 //! The plan is an *evaluation strategy*, never a behavioural change: the
-//! bitmap intersection yields exactly the stale **set** the per-item
-//! walk yields (pinned by the `plan ≡ decide` proptests), and the engine
-//! golden digests stay bit-identical.
+//! bitmap intersection and the probes yield exactly the stale **set**
+//! the per-item `decide_with` walk yields (pinned by the
+//! `plan ≡ decide` proptests), and the engine golden digests stay
+//! bit-identical.
 
 use crate::bitseq::BsSelect;
 use crate::payload::ReportPayload;
@@ -40,17 +44,17 @@ use mobicache_sim::SimTime;
 /// Which decode the plan currently holds (one report kind per tick).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 enum PlanKind {
-    /// No plan decoded for this tick (SIG report, or a BS report whose
-    /// dominant bucket resolved to Clean/DropAll).
+    /// No plan decoded for this tick (SIG report).
     #[default]
     None,
     /// Window report: bitmap of listed items + dense update timestamps.
     Window,
     /// AT report: bitmap of listed items.
     At,
-    /// BS report: bitmap of the first `prefix` recency entries, decoded
-    /// for this one prefix bucket.
-    Bs(usize),
+    /// BS report: the rank column, plus — when the dominant bucket
+    /// selects a prefix — the bitmap of the first `prefix` recency
+    /// entries.
+    Bs(Option<usize>),
 }
 
 /// Per-client plan-application tallies, accumulated shard-locally by the
@@ -68,9 +72,11 @@ pub struct PlanStats {
 /// A reusable per-tick invalidation-plan cache.
 ///
 /// `decode_for_tick` turns one [`ReportPayload`] into a dense stale
-/// bitmap (`db_size.div_ceil(64)` words of `u64`); `intersect_into`
-/// applies it to one cache's membership bitmap. The buffers persist
-/// across ticks, so steady state allocates nothing.
+/// bitmap (`db_size.div_ceil(64)` words of `u64`) and, per kind, a dense
+/// timestamp or rank column; `intersect_into` applies the bitmap to one
+/// cache's membership bitmap, and `listed` / `listed_ts` / `bs_marked`
+/// answer one item in O(1). The buffers persist across ticks, so steady
+/// state allocates nothing.
 ///
 /// Shared immutably across the engine's fan-out shards: after the serial
 /// phase-0 decode every read is lock-free (`&PlanCache` is `Sync` — the
@@ -84,6 +90,15 @@ pub struct PlanCache {
     /// `ItemId(i)`. Only slots whose `bits` bit is set are meaningful
     /// (stale slots from earlier ticks are never read).
     ts: Vec<SimTime>,
+    /// BS plans only: `rank[i] - rank_base` is the recency rank of
+    /// `ItemId(i)` when it is below `rank_len`. Each decode stamps its
+    /// entries above every earlier decode's, so entries from earlier
+    /// ticks (and never-written zeros) read as absent without a clear.
+    rank: Vec<u32>,
+    /// First stamp of the current BS decode (`≥ 1` once one ran).
+    rank_base: u32,
+    /// Recency entries of the current BS decode.
+    rank_len: u32,
     /// Bitmap decodes performed over the cache's lifetime.
     decodes: u64,
 }
@@ -100,6 +115,29 @@ impl PlanCache {
         self.bits.resize(words, 0);
     }
 
+    /// Stamps the recency rank of every entry of `recency` into the rank
+    /// column: `O(|recency|)` writes, no sort, no clear. The column is
+    /// allocated on the first BS decode.
+    fn load_ranks(&mut self, recency: &[(ItemId, SimTime)], db_size: u32) {
+        if self.rank.len() < db_size as usize {
+            self.rank.resize(db_size as usize, 0);
+        }
+        let len = recency.len() as u32;
+        // Stamps start at 1 so a never-written 0 is absent, and move past
+        // the previous decode so its entries fall below the new base.
+        let mut base = (self.rank_base + self.rank_len).max(1);
+        if base.checked_add(len).is_none() {
+            // The stamp space ran out: forget every old entry once.
+            self.rank.fill(0);
+            base = 1;
+        }
+        for (r, &(item, _)) in recency.iter().enumerate() {
+            self.rank[item.0 as usize] = base + r as u32;
+        }
+        self.rank_base = base;
+        self.rank_len = len;
+    }
+
     #[inline]
     fn set(&mut self, item: ItemId) {
         let i = item.0 as usize;
@@ -110,12 +148,13 @@ impl PlanCache {
     /// Decodes `payload` into this tick's plan. Serial phase-0 only —
     /// shards read the result immutably.
     ///
-    /// `dominant_tlb` keys the BS prefix bucket: pass the previous
+    /// `dominant_tlb` keys the BS prefix bitmap: pass the previous
     /// report's broadcast time (every client that heard it selects this
-    /// bucket). Window and AT decodes are `Tlb`-independent. A SIG
-    /// payload, or a BS dominant bucket resolving to Clean/DropAll,
-    /// leaves the plan empty (every client falls back per-item — both
-    /// non-prefix BS verdicts are O(1) anyway).
+    /// bucket). A BS decode always fills the rank column, so
+    /// [`PlanCache::bs_marked`] serves every other bucket; when the
+    /// dominant bucket resolves to Clean/DropAll no bitmap is built
+    /// (both verdicts are O(1) per client anyway). Window and AT decodes
+    /// are `Tlb`-independent. A SIG payload leaves the plan empty.
     pub fn decode_for_tick(
         &mut self,
         payload: &ReportPayload,
@@ -146,14 +185,19 @@ impl PlanCache {
                 self.decodes += 1;
             }
             ReportPayload::BitSeq(bs) => {
-                if let BsSelect::Prefix(p) = bs.select(dominant_tlb) {
-                    self.reset_bits(words);
-                    for &(item, _) in &bs.recency[..p.min(bs.recency.len())] {
-                        self.set(item);
+                self.load_ranks(&bs.recency, db_size);
+                let prefix = match bs.select(dominant_tlb) {
+                    BsSelect::Prefix(p) => {
+                        self.reset_bits(words);
+                        for &(item, _) in &bs.recency[..p.min(bs.recency.len())] {
+                            self.set(item);
+                        }
+                        self.decodes += 1;
+                        Some(p)
                     }
-                    self.kind = PlanKind::Bs(p);
-                    self.decodes += 1;
-                }
+                    BsSelect::Clean | BsSelect::DropAll => None,
+                };
+                self.kind = PlanKind::Bs(prefix);
             }
             ReportPayload::Sig(..) => {}
         }
@@ -177,9 +221,31 @@ impl PlanCache {
     /// The decoded BS prefix bucket, when one is loaded.
     pub fn bs_prefix(&self) -> Option<usize> {
         match self.kind {
-            PlanKind::Bs(p) => Some(p),
+            PlanKind::Bs(p) => p,
             _ => None,
         }
+    }
+
+    /// `true` when `item` is marked at a BS level of `prefix` "1"s —
+    /// its recency rank in this tick's report is below `prefix` — for
+    /// any prefix bucket, not only the decoded one. Requires a BS plan.
+    #[inline]
+    pub fn bs_marked(&self, item: ItemId, prefix: usize) -> bool {
+        debug_assert!(matches!(self.kind, PlanKind::Bs(_)), "no BS plan loaded");
+        let rank = self.rank[item.0 as usize].wrapping_sub(self.rank_base);
+        rank < self.rank_len && (rank as usize) < prefix
+    }
+
+    /// `true` when this tick's window or AT report lists `item`.
+    /// Requires a window or AT plan.
+    #[inline]
+    pub fn listed(&self, item: ItemId) -> bool {
+        debug_assert!(
+            matches!(self.kind, PlanKind::Window | PlanKind::At),
+            "no window/AT plan loaded"
+        );
+        let i = item.0 as usize;
+        self.bits[i / 64] >> (i % 64) & 1 != 0
     }
 
     /// The plan bitmap words (bit `i` = `ItemId(i)`).
@@ -339,6 +405,81 @@ mod tests {
         assert!(!plan.window_active() && !plan.at_active());
         assert_eq!(plan.bs_prefix(), None);
         assert_eq!(plan.decodes(), 0);
+        // The rank column still serves every other bucket.
+        assert!(plan.bs_marked(ItemId(9), 1));
+    }
+
+    /// Recency-descending BS report over `ids` in a 64-item database.
+    fn bs_over(ids: &[u32]) -> ReportPayload {
+        let recency = ids
+            .iter()
+            .enumerate()
+            .map(|(k, &i)| (ItemId(i), t(95.0 - k as f64)))
+            .collect::<Vec<_>>();
+        ReportPayload::BitSeq(BitSequences::from_recency(t(100.0), 64, recency))
+    }
+
+    #[test]
+    fn bs_ranks_answer_every_bucket() {
+        let mut plan = PlanCache::new();
+        plan.decode_for_tick(&bs_over(&[9, 4, 2]), t(0.0), 64);
+        assert!(plan.bs_marked(ItemId(9), 1));
+        assert!(!plan.bs_marked(ItemId(4), 1));
+        assert!(plan.bs_marked(ItemId(4), 2));
+        // A prefix longer than the recency list marks all of it.
+        assert!(plan.bs_marked(ItemId(2), 32));
+        assert!(!plan.bs_marked(ItemId(5), 32), "unlisted item");
+    }
+
+    #[test]
+    fn bs_ranks_from_an_earlier_tick_read_as_absent() {
+        let mut plan = PlanCache::new();
+        plan.decode_for_tick(&bs_over(&[9, 4, 2]), t(0.0), 64);
+        plan.decode_for_tick(&window(vec![(9, 950.0)]), t(0.0), 64);
+        plan.decode_for_tick(&bs_over(&[4]), t(0.0), 64);
+        assert!(plan.bs_marked(ItemId(4), 1));
+        assert!(!plan.bs_marked(ItemId(9), 32));
+        assert!(!plan.bs_marked(ItemId(2), 32));
+    }
+
+    #[test]
+    fn rank_stamps_survive_wrap_around() {
+        let mut plan = PlanCache::new();
+        // Stamps 1, 2, 3 for items 9, 4, 2.
+        plan.decode_for_tick(&bs_over(&[9, 4, 2]), t(0.0), 64);
+        // Jump to the end of the stamp space: the next decode cannot fit
+        // and must restart at 1. Without the one-off clear, item 9's
+        // stamp (1) would alias rank 0 of the new report.
+        plan.rank_base = u32::MAX - 1;
+        plan.rank_len = 0;
+        plan.decode_for_tick(&bs_over(&[5, 6, 7, 8]), t(0.0), 64);
+        assert_eq!(plan.rank_base, 1);
+        for item in [9, 4, 2] {
+            assert!(!plan.bs_marked(ItemId(item), 32), "item {item} survived");
+        }
+        assert!(plan.bs_marked(ItemId(5), 1));
+        assert!(plan.bs_marked(ItemId(8), 4));
+        assert!(!plan.bs_marked(ItemId(8), 3));
+        // Decoding continues past the restart as usual.
+        plan.decode_for_tick(&bs_over(&[2]), t(0.0), 64);
+        assert!(plan.bs_marked(ItemId(2), 1));
+        assert!(!plan.bs_marked(ItemId(5), 32));
+    }
+
+    #[test]
+    fn listed_probe_reads_the_listed_bitmap() {
+        let mut plan = PlanCache::new();
+        plan.decode_for_tick(&window(vec![(3, 950.0), (70, 920.0)]), t(0.0), 128);
+        assert!(plan.listed(ItemId(3)) && plan.listed(ItemId(70)));
+        assert!(!plan.listed(ItemId(5)) && !plan.listed(ItemId(127)));
+        let at = ReportPayload::At(AtReport {
+            broadcast_at: t(200.0),
+            prev_broadcast: t(100.0),
+            items: vec![ItemId(65)],
+        });
+        plan.decode_for_tick(&at, t(0.0), 128);
+        assert!(plan.listed(ItemId(65)));
+        assert!(!plan.listed(ItemId(3)), "window bit from the last tick");
     }
 
     #[test]

@@ -81,11 +81,11 @@ pub enum WindowDecision {
 /// A build-once lookup index over a [`WindowReport`]'s records: the
 /// records sorted by item id, queried by binary search.
 ///
-/// One report is applied by every connected client each broadcast
-/// period, so the simulator builds this once per delivered report and
-/// shares it across the whole fan-out — each client's Figure-1 pass is
-/// then `O(|cache| · log |records|)` with no per-client allocation,
-/// instead of the reference algorithm's `O(|cache| · |records|)` scan.
+/// Built once per report and shared by every client it is applied to —
+/// each client's Figure-1 pass is then `O(|cache| · log |records|)` with
+/// no per-client allocation, instead of the reference algorithm's
+/// `O(|cache| · |records|)` scan. The engine's fan-out probes the dense
+/// listed bitmap and timestamp table of a [`crate::PlanCache`] instead.
 #[derive(Clone, Debug)]
 pub struct WindowIndex {
     /// Records sorted by item id (at most one record per item).

@@ -1,9 +1,12 @@
 //! Property tests pinning the `plan ≡ decide` equivalence: the bitmap
 //! invalidation plan ([`PlanCache`]) applied through a cache-membership
 //! bitmap must produce exactly the stale **set** the per-item
-//! `decide_with` walk produces, for every report shape that admits a
-//! plan. The engine relies on this to swap evaluation strategies without
-//! moving the golden digests.
+//! `decide_with` walk produces, and its O(1) per-item probes
+//! (`listed` / `listed_ts` / `bs_marked`) must answer exactly what the
+//! sorted indexes answer, for every report shape that admits a plan.
+//! Each case first decodes an earlier report into the same cache, so
+//! leftovers from a previous tick would show. The engine relies on this
+//! to swap evaluation strategies without moving the golden digests.
 
 use mobicache_model::ItemId;
 use mobicache_reports::{
@@ -68,6 +71,20 @@ fn bs_report(history: &[(f64, u32)], db: u32) -> BitSequences {
     BitSequences::from_recency(t(HORIZON), db, recency)
 }
 
+/// Builds the AT report the server would broadcast at `HORIZON` after
+/// a report at `prev`.
+fn at_report(history: &[(f64, u32)], prev: f64) -> AtReport {
+    AtReport {
+        broadcast_at: t(HORIZON),
+        prev_broadcast: t(prev),
+        items: last_updates(history)
+            .iter()
+            .filter(|&(_, &ts)| ts > prev)
+            .map(|(&i, _)| ItemId(i))
+            .collect(),
+    }
+}
+
 /// Membership bitmap over the given ids, exactly as `LruCache` keeps it.
 fn member_of(ids: impl IntoIterator<Item = u32>, db: u32) -> Vec<u64> {
     let mut words = vec![0u64; (db as usize).div_ceil(64)];
@@ -86,6 +103,7 @@ proptest! {
     /// versions, not just histories a well-behaved client could hold.
     #[test]
     fn window_plan_matches_decide_with(
+        earlier in history_strategy(128),
         history in history_strategy(128),
         window_start in 0.0..HORIZON,
         tlb in 0.0..HORIZON,
@@ -93,6 +111,11 @@ proptest! {
     ) {
         let report = window_report(&history, window_start);
         let mut plan = PlanCache::new();
+        plan.decode_for_tick(
+            &ReportPayload::Window(window_report(&earlier, window_start)),
+            t(0.0),
+            128,
+        );
         // The window decode is Tlb-independent: key with an arbitrary
         // bucket and apply to a client with a different `tlb`.
         plan.decode_for_tick(&ReportPayload::Window(report.clone()), t(0.0), 128);
@@ -100,7 +123,14 @@ proptest! {
 
         let entries: Vec<(ItemId, SimTime)> =
             cached.iter().map(|(&i, &v)| (ItemId(i), t(v))).collect();
-        let reference = report.decide_with(&report.index(), t(tlb), entries.clone());
+        let idx = report.index();
+        let reference = report.decide_with(&idx, t(tlb), entries.clone());
+
+        // The probes answer every cached entry as the index does.
+        for &(item, version) in &entries {
+            let probed = plan.listed(item) && version < plan.listed_ts(item);
+            prop_assert_eq!(probed, idx.is_stale(item, version), "item {:?}", item);
+        }
 
         let member = member_of(cached.keys().copied(), 128);
         let mut planned = Vec::new();
@@ -125,9 +155,13 @@ proptest! {
 
     /// BS plan ≡ `BitSequences::decide_with`: whenever the client's
     /// selected prefix bucket matches the plan's decoded bucket, the
-    /// prefix bitmap intersection yields exactly the per-item marked set.
+    /// prefix bitmap intersection yields exactly the per-item marked set;
+    /// for every prefix bucket, the rank-column probe walk yields it in
+    /// the same order.
     #[test]
     fn bs_plan_matches_decide_with(
+        earlier in history_strategy(128),
+        earlier_dominant in 0.0..HORIZON,
         history in history_strategy(128),
         dominant in 0.0..HORIZON,
         tlb in 0.0..HORIZON,
@@ -135,6 +169,11 @@ proptest! {
     ) {
         let report = bs_report(&history, 128);
         let mut plan = PlanCache::new();
+        plan.decode_for_tick(
+            &ReportPayload::BitSeq(bs_report(&earlier, 128)),
+            t(earlier_dominant),
+            128,
+        );
         plan.decode_for_tick(&ReportPayload::BitSeq(report.clone()), t(dominant), 128);
         // The plan holds a prefix exactly when the dominant bucket
         // resolves to one.
@@ -151,11 +190,19 @@ proptest! {
             cached_items.iter().copied().map(ItemId),
             &mut reference,
         );
-        let (BsSelect::Prefix(p), Some(decoded)) = (sel, plan.bs_prefix()) else {
-            return Ok(()); // Clean/DropAll verdicts, or no plan: per-item path.
+        let BsSelect::Prefix(p) = sel else {
+            return Ok(()); // Clean/DropAll verdicts: O(1), no lookups.
         };
-        if p != decoded {
-            return Ok(()); // bucket mismatch: the engine falls back per-item.
+        // The rank probes serve every bucket, decoded or not.
+        let probed: Vec<ItemId> = cached_items
+            .iter()
+            .copied()
+            .map(ItemId)
+            .filter(|&item| plan.bs_marked(item, p))
+            .collect();
+        prop_assert_eq!(&reference, &probed);
+        if plan.bs_prefix() != Some(p) {
+            return Ok(()); // bucket mismatch: the engine walks the probes.
         }
         let member = member_of(cached_items.iter().copied(), 128);
         let mut planned = Vec::new();
@@ -169,26 +216,23 @@ proptest! {
     /// bitmap intersection yields exactly the per-item membership set.
     #[test]
     fn at_plan_matches_decide_with(
+        earlier in history_strategy(128),
         history in history_strategy(128),
         prev in 0.0..HORIZON,
         tlb in 0.0..HORIZON,
         cached_items in prop::collection::hash_set(0u32..128, 0..48),
     ) {
-        let items: Vec<ItemId> = last_updates(&history)
-            .iter()
-            .filter(|&(_, &ts)| ts > prev)
-            .map(|(&i, _)| ItemId(i))
-            .collect();
-        let report = AtReport {
-            broadcast_at: t(HORIZON),
-            prev_broadcast: t(prev),
-            items,
-        };
+        let report = at_report(&history, prev);
         let mut plan = PlanCache::new();
+        plan.decode_for_tick(&ReportPayload::At(at_report(&earlier, prev)), t(0.0), 128);
         plan.decode_for_tick(&ReportPayload::At(report.clone()), t(0.0), 128);
         prop_assert!(plan.at_active());
 
         let idx = report.index();
+        // The listed probe answers every cached item as the index does.
+        for &item in &cached_items {
+            prop_assert_eq!(plan.listed(ItemId(item)), idx.contains(ItemId(item)));
+        }
         let mut reference = Vec::new();
         let covered = report.decide_with(
             &idx,

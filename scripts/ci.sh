@@ -31,14 +31,18 @@ for profile in "" "--release"; do
   done
 done
 
-# Sharded ≡ serial for the chunked phases: the oracle scan and the BS
-# index build against their serial references (shard_props), and whole
-# runs at any shard geometry (soa_equiv). Release too, for the same
-# reason as the determinism legs. Timeouts because a wedged chunk
-# barrier must fail fast.
+# Sharded ≡ serial for the chunked phases: the oracle scan against its
+# serial reference (shard_props), and whole runs at any shard geometry
+# (soa_equiv). Release too, for the same reason as the determinism legs.
+# Timeouts because a wedged chunk barrier must fail fast.
 echo "==> shard equivalence suites (release, under timeout)"
 timeout 600 cargo test -q --release -p mobicache --test shard_props
 timeout 600 cargo test -q --release --test soa_equiv
+
+# The per-tick invalidation plan is the engine's only per-report decode,
+# so plan ≡ decide (bitmap and per-item probes) also runs in release.
+echo "==> plan equivalence suite (release, under timeout)"
+timeout 600 cargo test -q --release -p mobicache-reports --test plan_props
 
 # Fault matrix: the high-fault digest must be thread-invariant too (the
 # fault coins ride dedicated streams in the serial phases), and the

@@ -9,7 +9,7 @@
 //!    `p_roam = 1` vs `p_roam = 0` must agree on every metric (both
 //!    arms of the roam coin consume the same draws by construction).
 //! 3. **Thread invariance** — the per-cell fan-out and the per-cell
-//!    `BsIndex::build_sharded` must not care that cell membership moves
+//!    invalidation plans must not care that cell membership moves
 //!    between ticks: sharded runs reproduce serial runs exactly.
 
 use mobicache::{run, CellTopology, RunOptions, Scheme, SimConfig};
@@ -174,7 +174,7 @@ proptest! {
 
     /// Sharded ≡ serial under migration: cell membership moving between
     /// ticks must not break the disjoint-range shard claims of the
-    /// per-cell fan-out — nor the per-cell `BsIndex::build_sharded`
+    /// per-cell fan-out — nor the per-cell plan decode that feeds it
     /// (`Scheme::Bs` is always in the sample). The ground-truth oracle
     /// rides along on the serial run: migration must never produce a
     /// stale read either.

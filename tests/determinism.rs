@@ -314,7 +314,7 @@ proptest! {
     }
 }
 
-/// The pool's work-thinning knobs only decide which phases fan out —
+/// The pool's work-thinning knob only decides which phases fan out —
 /// never what they compute. A knob large enough to force every phase
 /// serial must reproduce the pinned digest at any thread count.
 #[test]
@@ -322,8 +322,7 @@ fn pool_knobs_do_not_move_digests() {
     for &(scheme, expected) in GOLDEN {
         let cfg = short_cfg(scheme)
             .with_threads(4)
-            .with_pool_min_shard_clients(1_000)
-            .with_pool_min_shard_items(1 << 20);
+            .with_pool_min_shard_clients(1_000);
         let result = run(&cfg, RunOptions::default()).expect("valid config");
         let got = fnv1a(format!("{:?}", result.metrics).as_bytes());
         assert_eq!(got, expected, "{scheme:?} digest moved under knob change");
