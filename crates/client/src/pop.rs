@@ -135,7 +135,6 @@ pub struct ClientPop {
     gap: Vec<Option<GapState>>,
     header: Vec<Option<QueryHeader>>,
     counters: Vec<ClientCounters>,
-    stale_scratch: Vec<Vec<ItemId>>,
     /// Which cell each client is currently associated with (all zero in
     /// the single-cell topology).
     cell: Vec<u32>,
@@ -190,7 +189,6 @@ impl ClientPop {
             gap: vec![None; n],
             header: vec![None; n],
             counters: vec![ClientCounters::default(); n],
-            stale_scratch: (0..n).map(|_| Vec::new()).collect(),
             cell,
             cell_bits,
             sig_baselines: (cfg.scheme == Scheme::Sig).then(|| vec![None; n]),
@@ -349,7 +347,6 @@ impl ClientPop {
             header: &mut self.header[i],
             items: &mut self.arena.nodes[start..end],
             sig_baseline: self.sig_baselines.as_mut().map(|col| &mut col[i]),
-            stale_scratch: &mut self.stale_scratch[i],
             counters: &mut self.counters[i],
         }
     }
@@ -372,7 +369,6 @@ impl ClientPop {
             gap: self.gap.as_mut_ptr(),
             header: self.header.as_mut_ptr(),
             counters: self.counters.as_mut_ptr(),
-            stale_scratch: self.stale_scratch.as_mut_ptr(),
             sig: self
                 .sig_baselines
                 .as_mut()
@@ -436,7 +432,6 @@ pub struct ClientMut<'a> {
     items: &'a mut [PendingItem],
     /// `None` unless the population materialized the SIG column.
     sig_baseline: Option<&'a mut Option<Vec<u64>>>,
-    stale_scratch: &'a mut Vec<ItemId>,
     counters: &'a mut ClientCounters,
 }
 
@@ -454,7 +449,6 @@ pub struct PopPtr {
     gap: *mut Option<GapState>,
     header: *mut Option<QueryHeader>,
     counters: *mut ClientCounters,
-    stale_scratch: *mut Vec<ItemId>,
     /// Null when the SIG column is not materialized.
     sig: *mut Option<Vec<u64>>,
     nodes: *mut PendingItem,
@@ -490,7 +484,6 @@ impl PopPtr {
             } else {
                 Some(&mut *self.sig.add(i))
             },
-            stale_scratch: &mut *self.stale_scratch.add(i),
             counters: &mut *self.counters.add(i),
         }
     }
@@ -561,16 +554,17 @@ impl ClientMut<'_> {
     /// (which is *not* cleared).
     ///
     /// The plan-less reference path: with the index built once, this
-    /// pass is `O(|cache| · log |report|)` and allocation-free (stale
-    /// lists land in a buffer owned by the client, actions in the
-    /// caller's).
+    /// pass is `O(|cache| · log |report|)`. Its stale list goes into a
+    /// local buffer, which allocates only when the report finds a stale
+    /// entry; the engine's fan-out lends a reused one instead.
     pub fn on_report_into(
         &mut self,
         now: SimTime,
         prepared: &PreparedReport<'_>,
         actions: &mut Vec<ClientAction>,
     ) {
-        self.on_report(now, prepared.payload(), Lookup::Prepared(prepared), actions);
+        let lookup = Lookup::Prepared(prepared);
+        self.on_report(now, prepared.payload(), lookup, actions, &mut Vec::new());
     }
 
     /// [`ClientMut::on_report_into`] through the per-tick invalidation
@@ -582,7 +576,9 @@ impl ClientMut<'_> {
     /// per-item probes. Same stale set, same actions, same counters as
     /// the prepared path (the plan is an evaluation strategy, pinned by
     /// the `plan ≡ decide` proptests and the engine's golden digests).
-    /// Hit/fallback tallies land in `stats` (not cleared).
+    /// Hit/fallback tallies land in `stats` (not cleared). `stale` is
+    /// the caller's scratch for the stale list: it must be empty on
+    /// entry and is left empty.
     pub fn on_report_planned(
         &mut self,
         now: SimTime,
@@ -590,8 +586,9 @@ impl ClientMut<'_> {
         plan: &PlanCache,
         actions: &mut Vec<ClientAction>,
         stats: &mut PlanStats,
+        stale: &mut Vec<ItemId>,
     ) {
-        self.on_report(now, payload, Lookup::Plan(plan, stats), actions);
+        self.on_report(now, payload, Lookup::Plan(plan, stats), actions, stale);
     }
 
     fn on_report(
@@ -600,9 +597,10 @@ impl ClientMut<'_> {
         payload: &ReportPayload,
         lookup: Lookup<'_>,
         actions: &mut Vec<ClientAction>,
+        stale: &mut Vec<ItemId>,
     ) {
         assert!(*self.connected, "report delivered to a disconnected client");
-        self.apply_report(now, payload, lookup, actions);
+        self.apply_report(now, payload, lookup, actions, stale);
         *self.tlb = payload.broadcast_at();
         self.resolve_query(now, actions);
         self.retry_pending_requests(now, actions);
@@ -743,18 +741,19 @@ impl ClientMut<'_> {
     /// Resolve query items that were waiting on a validity/group verdict.
     fn resolve_validity_waiters(&mut self, now: SimTime, actions: &mut Vec<ClientAction>) {
         if let Some(q) = self.header.as_mut() {
-            let n = q.len as usize;
-            let waiting: Vec<ItemId> = self.items[..n]
-                .iter()
-                .filter(|p| p.state == PendingState::WaitValidity)
-                .map(|p| p.item)
-                .collect();
-            for item in waiting {
+            // In-place walk; see `resolve_query` for why each visited
+            // item is advanced through its one-element slice.
+            for k in 0..q.len as usize {
+                let PendingItem { item, state, .. } = self.items[k];
+                if state != PendingState::WaitValidity {
+                    continue;
+                }
+                let slot = &mut self.items[k..=k];
                 if self.cache.get_valid(item).is_some() {
-                    q.resolve(&mut self.items[..n], item, PendingState::WaitValidity, true);
+                    q.resolve(slot, item, PendingState::WaitValidity, true);
                 } else {
                     q.transition_at(
-                        &mut self.items[..n],
+                        slot,
                         item,
                         PendingState::WaitValidity,
                         PendingState::WaitData,
@@ -794,9 +793,10 @@ impl ClientMut<'_> {
         payload: &ReportPayload,
         lookup: Lookup<'_>,
         actions: &mut Vec<ClientAction>,
+        stale: &mut Vec<ItemId>,
     ) {
         let etlb = self.effective_tlb();
-        debug_assert!(self.stale_scratch.is_empty(), "scratch not drained");
+        debug_assert!(stale.is_empty(), "scratch not drained");
         // A report vouches for the database state at its *broadcast* time,
         // not its delivery time — updates can land while the report is on
         // the air, so revalidating "as of delivery" would silently cover
@@ -837,7 +837,7 @@ impl ClientMut<'_> {
                 match lookup {
                     Lookup::Plan(p, stats) if Self::plan_profitable(p, self.cache) => {
                         let cache = &*self.cache;
-                        p.intersect_into(cache.member_words(), self.stale_scratch, |item| {
+                        p.intersect_into(cache.member_words(), stale, |item| {
                             cache
                                 .peek(item)
                                 .is_some_and(|e| e.version < p.listed_ts(item))
@@ -847,7 +847,7 @@ impl ClientMut<'_> {
                     Lookup::Plan(p, stats) => {
                         for (item, version) in self.cache.items_iter() {
                             if p.listed(item) && version < p.listed_ts(item) {
-                                self.stale_scratch.push(item);
+                                stale.push(item);
                             }
                         }
                         stats.misses += 1;
@@ -855,9 +855,9 @@ impl ClientMut<'_> {
                     Lookup::Prepared(prep) => prep
                         .window_index()
                         .expect("window report was prepared")
-                        .stale_into(self.cache.items_iter(), self.stale_scratch),
+                        .stale_into(self.cache.items_iter(), stale),
                 }
-                self.cache.invalidate_many(self.stale_scratch.drain(..));
+                self.cache.invalidate_many(stale.drain(..));
                 if w.covers(etlb) {
                     self.resolve_gap();
                     self.cache.revalidate_all(report_asof);
@@ -879,15 +879,13 @@ impl ClientMut<'_> {
                             if p.bs_prefix() == Some(prefix)
                                 && Self::plan_profitable(p, self.cache) =>
                         {
-                            p.intersect_into(self.cache.member_words(), self.stale_scratch, |_| {
-                                true
-                            });
+                            p.intersect_into(self.cache.member_words(), stale, |_| true);
                             stats.hits += 1;
                         }
                         Lookup::Plan(p, stats) => {
                             for (item, _) in self.cache.items_iter() {
                                 if p.bs_marked(item, prefix) {
-                                    self.stale_scratch.push(item);
+                                    stale.push(item);
                                 }
                             }
                             stats.misses += 1;
@@ -895,7 +893,7 @@ impl ClientMut<'_> {
                         Lookup::Prepared(prep) => {
                             let idx = prep.bs_index().expect("BS report was prepared");
                             let cached = self.cache.items_iter().map(|(i, _)| i);
-                            bs.decide_with(idx, etlb, cached, self.stale_scratch);
+                            bs.decide_with(idx, etlb, cached, stale);
                         }
                     }
                 }
@@ -912,7 +910,7 @@ impl ClientMut<'_> {
                         self.cache.clear();
                     }
                     BsSelect::Prefix(_) => {
-                        self.cache.invalidate_many(self.stale_scratch.drain(..));
+                        self.cache.invalidate_many(stale.drain(..));
                         self.resolve_gap();
                         self.cache.revalidate_all(report_asof);
                     }
@@ -925,15 +923,13 @@ impl ClientMut<'_> {
                 if at.covers(etlb) {
                     match lookup {
                         Lookup::Plan(p, stats) if Self::plan_profitable(p, self.cache) => {
-                            p.intersect_into(self.cache.member_words(), self.stale_scratch, |_| {
-                                true
-                            });
+                            p.intersect_into(self.cache.member_words(), stale, |_| true);
                             stats.hits += 1;
                         }
                         Lookup::Plan(p, stats) => {
                             for (item, _) in self.cache.items_iter() {
                                 if p.listed(item) {
-                                    self.stale_scratch.push(item);
+                                    stale.push(item);
                                 }
                             }
                             stats.misses += 1;
@@ -941,10 +937,10 @@ impl ClientMut<'_> {
                         Lookup::Prepared(prep) => {
                             let idx = prep.at_index().expect("AT report was prepared");
                             let cached = self.cache.items_iter().map(|(i, _)| i);
-                            at.decide_with(idx, etlb, cached, self.stale_scratch);
+                            at.decide_with(idx, etlb, cached, stale);
                         }
                     }
-                    self.cache.invalidate_many(self.stale_scratch.drain(..));
+                    self.cache.invalidate_many(stale.drain(..));
                     self.resolve_gap();
                     self.cache.revalidate_all(report_asof);
                 } else {
@@ -1182,16 +1178,26 @@ impl ClientMut<'_> {
         let Some(q) = self.header.as_mut() else {
             return;
         };
-        let n = q.len as usize;
+        if q.waiting() == 0 {
+            // Nothing waits on a report (the common case for a listener
+            // whose data request is in flight): leave the arena block
+            // untouched.
+            self.try_finish(now, actions);
+            return;
+        }
         let mut check_entries: Vec<(ItemId, f64)> = Vec::new();
-        let waiting: Vec<ItemId> = self.items[..n]
-            .iter()
-            .filter(|p| p.state == PendingState::WaitReport)
-            .map(|p| p.item)
-            .collect();
-        for item in waiting {
+        // In-place index walk. Every visited `WaitReport` item leaves
+        // that state, so it is the first `WaitReport` match for its id
+        // in the block: advancing it through its one-element slice is
+        // what a search of the whole block would do, without the search.
+        for k in 0..q.len as usize {
+            let PendingItem { item, state, .. } = self.items[k];
+            if state != PendingState::WaitReport {
+                continue;
+            }
+            let slot = &mut self.items[k..=k];
             if self.cache.get_valid(item).is_some() {
-                q.resolve(&mut self.items[..n], item, PendingState::WaitReport, true);
+                q.resolve(slot, item, PendingState::WaitReport, true);
                 continue;
             }
             let limbo = self
@@ -1203,7 +1209,7 @@ impl ClientMut<'_> {
                 // the gap check already covers this item; under
                 // QueriedItems we check it now, targeted.
                 q.transition_at(
-                    &mut self.items[..n],
+                    slot,
                     item,
                     PendingState::WaitReport,
                     PendingState::WaitValidity,
@@ -1216,7 +1222,7 @@ impl ClientMut<'_> {
             } else {
                 // Absent, or limbo under a scheme that fetches fresh.
                 q.transition_at(
-                    &mut self.items[..n],
+                    slot,
                     item,
                     PendingState::WaitReport,
                     PendingState::WaitData,
@@ -1258,6 +1264,8 @@ impl ClientMut<'_> {
             }
             match p.state {
                 PendingState::WaitData | PendingState::WaitValidity => {
+                    // Both states count as open and not waiting, so the
+                    // header's counts need no update.
                     p.state = PendingState::WaitData;
                     p.requested_at = Some(now);
                     p.retries = p.retries.saturating_add(1);
@@ -1531,6 +1539,7 @@ mod tests {
             plan.decode_for_tick(&report, t(50.0), DB);
             let prepared = report.prepare();
             let mut stats = PlanStats::default();
+            let mut stale = Vec::new();
             for i in 0..n {
                 let (mut a, mut b) = (Vec::new(), Vec::new());
                 reference
@@ -1542,6 +1551,7 @@ mod tests {
                     &plan,
                     &mut b,
                     &mut stats,
+                    &mut stale,
                 );
                 assert_eq!(a, b, "{scheme:?} client {i} actions");
                 assert_eq!(reference.counters(i), planned.counters(i));

@@ -69,9 +69,12 @@ pub struct QueryOutcome {
 /// The per-query scalars of a query in progress.
 ///
 /// The referenced items themselves live in the owning population's
-/// pending arena; the header only knows how many there are. Every
-/// method that inspects or advances per-item state takes the client's
-/// item slice (exactly `len` entries) as a parameter.
+/// pending arena; the header only knows how many there are and how many
+/// are still waiting for a report or unresolved. Every method that
+/// inspects or advances per-item state takes the client's item slice
+/// as a parameter, and the state-changing methods keep those two counts
+/// in step, so a report can skip a query with nothing waiting on it
+/// without loading the arena block.
 #[derive(Clone, Copy, Debug)]
 pub struct QueryHeader {
     /// When the query was issued.
@@ -83,6 +86,10 @@ pub struct QueryHeader {
     pub hits: u32,
     /// Downloads so far.
     pub misses: u32,
+    /// Items in [`PendingState::WaitReport`].
+    waiting: u32,
+    /// Items not yet [`PendingState::Done`].
+    open: u32,
 }
 
 impl QueryHeader {
@@ -94,13 +101,33 @@ impl QueryHeader {
             len,
             hits: 0,
             misses: 0,
+            waiting: len,
+            open: len,
         }
+    }
+
+    /// Items still waiting for the next invalidation report.
+    pub(crate) fn waiting(&self) -> u32 {
+        self.waiting
     }
 
     /// `true` when every referenced item is resolved.
     pub fn is_complete(&self, items: &[PendingItem]) -> bool {
         debug_assert_eq!(items.len(), self.len as usize);
-        items.iter().all(|p| p.state == PendingState::Done)
+        debug_assert_eq!(
+            self.open == 0,
+            items.iter().all(|p| p.state == PendingState::Done),
+            "open count out of step with the items"
+        );
+        self.open == 0
+    }
+
+    /// Moves the counts for one item going from state `from` to `to`.
+    fn move_counts(&mut self, from: PendingState, to: PendingState) {
+        let waits = |s| u32::from(s == PendingState::WaitReport);
+        let opens = |s| u32::from(s != PendingState::Done);
+        self.waiting = self.waiting - waits(from) + waits(to);
+        self.open = self.open - opens(from) + opens(to);
     }
 
     /// Marks `item` done as a hit or miss. Returns `false` if the item is
@@ -115,6 +142,7 @@ impl QueryHeader {
         for p in items {
             if p.item == item && p.state == from {
                 p.state = PendingState::Done;
+                self.move_counts(from, PendingState::Done);
                 if hit {
                     self.hits += 1;
                 } else {
@@ -138,6 +166,7 @@ impl QueryHeader {
         for p in items {
             if p.item == item && p.state == from {
                 p.state = to;
+                self.move_counts(from, to);
                 return true;
             }
         }
@@ -159,6 +188,7 @@ impl QueryHeader {
         for p in items {
             if p.item == item && p.state == from {
                 p.state = to;
+                self.move_counts(from, to);
                 p.requested_at = Some(now);
                 p.retries = 0;
                 return true;
@@ -253,5 +283,95 @@ mod tests {
     #[should_panic(expected = "at least one item")]
     fn empty_query_rejected() {
         QueryHeader::new(t(0.0), 0);
+    }
+
+    /// `(waiting, open)` recounted from the item slice.
+    fn recount(items: &[PendingItem]) -> (u32, u32) {
+        let waiting = items.iter().filter(|p| p.state == PendingState::WaitReport);
+        let open = items.iter().filter(|p| p.state != PendingState::Done);
+        (waiting.count() as u32, open.count() as u32)
+    }
+
+    #[test]
+    fn counts_follow_each_move() {
+        use PendingState::*;
+        let (mut q, mut items) = query(t(0.0), &[1, 2, 3]);
+        assert_eq!((q.waiting, q.open), (3, 3));
+        assert!(q.transition(&mut items, ItemId(1), WaitReport, WaitData));
+        assert_eq!((q.waiting, q.open), (2, 3));
+        assert!(q.transition_at(&mut items, ItemId(2), WaitReport, WaitValidity, t(1.0)));
+        assert_eq!((q.waiting, q.open), (1, 3));
+        assert!(q.resolve(&mut items, ItemId(3), WaitReport, true));
+        assert_eq!((q.waiting, q.open), (0, 2));
+        assert!(q.transition(&mut items, ItemId(2), WaitValidity, WaitData));
+        assert_eq!((q.waiting, q.open), (0, 2));
+        assert!(q.resolve(&mut items, ItemId(1), WaitData, false));
+        assert_eq!((q.waiting, q.open), (0, 1));
+        assert!(!q.is_complete(&items));
+        assert!(q.resolve(&mut items, ItemId(2), WaitData, false));
+        assert_eq!((q.waiting, q.open), (0, 0));
+        assert!(q.is_complete(&items));
+    }
+
+    #[test]
+    fn rejected_moves_leave_counts_alone() {
+        use PendingState::*;
+        let (mut q, mut items) = query(t(0.0), &[1, 2]);
+        assert!(q.resolve(&mut items, ItemId(1), WaitReport, true));
+        let before = (q.waiting, q.open, q.hits, q.misses);
+        assert!(!q.resolve(&mut items, ItemId(1), WaitReport, true));
+        assert!(!q.transition(&mut items, ItemId(2), WaitData, Done));
+        assert!(!q.transition_at(&mut items, ItemId(9), WaitReport, WaitData, t(1.0)));
+        assert_eq!((q.waiting, q.open, q.hits, q.misses), before);
+        assert_eq!((q.waiting, q.open), recount(&items));
+    }
+
+    #[test]
+    fn moves_back_to_waiting_reopen_the_counts() {
+        use PendingState::*;
+        let (mut q, mut items) = query(t(0.0), &[4, 4]);
+        assert!(q.resolve(&mut items, ItemId(4), WaitReport, false));
+        assert!(q.transition(&mut items, ItemId(4), WaitReport, Done));
+        assert!(q.is_complete(&items));
+        assert!(q.transition(&mut items, ItemId(4), Done, WaitReport));
+        assert_eq!((q.waiting, q.open), (1, 1));
+        assert!(!q.is_complete(&items));
+    }
+
+    const STATES: [PendingState; 4] = [
+        PendingState::WaitReport,
+        PendingState::WaitValidity,
+        PendingState::WaitData,
+        PendingState::Done,
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// Any sequence of moves, accepted or rejected, over a query
+        /// that may name an item twice keeps both counts equal to a
+        /// recount, and `is_complete` true exactly when every item is
+        /// done.
+        #[test]
+        fn counts_match_a_recount_after_every_move(
+            ids in proptest::collection::vec(0u32..4, 1..7),
+            moves in proptest::collection::vec(
+                (0u8..3, 0u32..4, 0usize..4, 0usize..4, proptest::any::<bool>()),
+                0..48,
+            ),
+        ) {
+            let (mut q, mut items) = query(t(0.0), &ids);
+            for (step, &(kind, id, from, to, hit)) in moves.iter().enumerate() {
+                let (item, from, to) = (ItemId(id), STATES[from], STATES[to]);
+                match kind {
+                    0 => q.resolve(&mut items, item, from, hit),
+                    1 => q.transition(&mut items, item, from, to),
+                    _ => q.transition_at(&mut items, item, from, to, t(step as f64)),
+                };
+                proptest::prop_assert_eq!((q.waiting, q.open), recount(&items), "step {}", step);
+                let all_done = items.iter().all(|p| p.state == PendingState::Done);
+                proptest::prop_assert_eq!(q.is_complete(&items), all_done, "step {}", step);
+            }
+        }
     }
 }

@@ -171,18 +171,24 @@ struct UpMsg {
 struct ShardScratch {
     /// Actions appended by this shard's clients, in client-index order.
     actions: Vec<ClientAction>,
-    /// One record per client that processed the message.
+    /// One record per client the serial merge has something to do for,
+    /// in client-index order.
     outcomes: Vec<ShardOutcome>,
     /// Plan-application tallies for this shard's clients; summed into
     /// the engine counters during the serial merge (u64 sums are
     /// order-free, so the totals are thread-invariant).
     plan: PlanStats,
+    /// The stale list of the client being visited; drained by each
+    /// report application, so one buffer serves the whole shard.
+    stale: Vec<ItemId>,
 }
 
-/// What one client's parallel report application produced: how many
-/// actions it appended to its shard's buffer, plus (when a probe is
-/// attached) the counter state captured just before, so the serial
-/// merge emits exactly the probe events the serial loop would.
+/// What one client's parallel report application left for the serial
+/// merge: how many actions it appended to its shard's buffer, plus
+/// (when a probe is attached) the counter state captured just before,
+/// so the merge emits exactly the probe events the serial loop would.
+/// Recorded only for a client that appended an action or while a probe
+/// is attached: for any other client the merge would do nothing.
 struct ShardOutcome {
     client: usize,
     actions: u32,
@@ -992,19 +998,31 @@ impl<'p> Simulation<'p> {
         self.fan_out(&deliver, |i, mut client, sh| {
             let before = probing.then(|| (client.counters(), client.cache().evictions()));
             let a0 = sh.actions.len();
-            client.on_report_planned(now, report, &plan, &mut sh.actions, &mut sh.plan);
-            sh.outcomes.push(ShardOutcome {
-                client: i,
-                actions: (sh.actions.len() - a0) as u32,
-                before,
-            });
+            client.on_report_planned(
+                now,
+                report,
+                &plan,
+                &mut sh.actions,
+                &mut sh.plan,
+                &mut sh.stale,
+            );
+            let actions = (sh.actions.len() - a0) as u32;
+            if actions > 0 || probing {
+                sh.outcomes.push(ShardOutcome {
+                    client: i,
+                    actions,
+                    before,
+                });
+            }
         });
         self.plans[cell] = plan;
         self.prev_report_at[cell] = report.broadcast_at();
         // Phase 2 (serial merge, client-index order): replay each
-        // client's actions and observations exactly as the serial loop
-        // interleaved them — the scheduler, the channels, the stats and
-        // the per-client RNG streams are only touched here.
+        // recorded client's actions and observations exactly as the
+        // serial loop interleaved them — the scheduler, the channels, the
+        // stats and the per-client RNG streams are only touched here.
+        // Listeners without a record appended nothing and carry no probe
+        // state, so skipping them leaves the replay unchanged.
         let mut shards = std::mem::take(&mut self.shards);
         for shard in &mut shards {
             let stats = std::mem::take(&mut shard.plan);

@@ -44,6 +44,12 @@ timeout 600 cargo test -q --release --test soa_equiv
 echo "==> plan equivalence suite (release, under timeout)"
 timeout 600 cargo test -q --release -p mobicache-reports --test plan_props
 
+# The client crate's equivalence tests in release, for the same reason:
+# the planned report path ≡ the prepared path per client, and the
+# pending-query header's counts ≡ a recount of its items.
+echo "==> client equivalence tests (release, under timeout)"
+timeout 600 cargo test -q --release -p mobicache-client
+
 # Fault matrix: the high-fault digest must be thread-invariant too (the
 # fault coins ride dedicated streams in the serial phases), and the
 # any-fault-schedule proptests run the oracle under arbitrary fault

@@ -256,6 +256,74 @@ fn attaching_a_probe_leaves_same_seed_metrics_bit_identical() {
     }
 }
 
+/// Sums the limbo outcomes the probe stream reports.
+#[derive(Default)]
+struct SalvageTally {
+    salvaged: u64,
+    dropped: u64,
+}
+
+impl Probe for SalvageTally {
+    fn on_event(&mut self, _now: SimTime, event: &ProbeEvent) {
+        if let ProbeEvent::LimboSalvage {
+            salvaged, dropped, ..
+        } = event
+        {
+            self.salvaged += salvaged;
+            self.dropped += dropped;
+        }
+    }
+}
+
+/// The sharded broadcast merge keeps a record only for a listener that
+/// appended an action, or for every listener while a probe is attached,
+/// so probed and unprobed runs walk different record sets. Most of this
+/// population waits on a saturated downlink and appends nothing per
+/// report; the whole `Metrics` digest must still match, serial and
+/// sharded. The probe must also hear every salvage, including those of
+/// listeners that appended nothing: its tally equals the run's counters.
+#[test]
+fn attaching_a_sampler_leaves_the_full_digest_identical_when_sharded() {
+    let mut cfg = SimConfig::paper_default()
+        .with_scheme(Scheme::Aaw)
+        .with_sim_time(1_000.0)
+        .with_db_size(1_000)
+        .with_num_clients(2_000);
+    cfg.p_disconnect = 1.0;
+    cfg.mean_disconnect_secs = 400.0;
+    let digest = |threads: u32, probed: bool| {
+        let cfg = cfg.clone().with_threads(threads);
+        let mut sampler = IntervalSampler::every(5);
+        let mut tally = SalvageTally::default();
+        let mut pair = (&mut sampler, &mut tally);
+        let opts = if probed {
+            RunOptions::new().probe(&mut pair)
+        } else {
+            RunOptions::default()
+        };
+        let metrics = run(&cfg, opts).expect("valid config").metrics;
+        if probed {
+            assert!(metrics.clients.salvaged > 0, "no salvage exercised");
+            assert_eq!(
+                (tally.salvaged, tally.dropped),
+                (metrics.clients.salvaged, metrics.clients.limbo_dropped),
+                "threads={threads}: probe missed a salvage"
+            );
+        }
+        format!("{metrics:?}")
+    };
+    let reference = digest(1, false);
+    for threads in [1, 4] {
+        for probed in [false, true] {
+            assert_eq!(
+                digest(threads, probed),
+                reference,
+                "threads={threads} probed={probed}"
+            );
+        }
+    }
+}
+
 #[test]
 fn sampler_final_interval_is_partial_when_horizon_misses_the_stride() {
     // 4000 s at L = 20 s is 200 broadcasts; stride 7 leaves a remainder,
