@@ -155,8 +155,10 @@ impl Client {
     ///
     /// Compatibility form of [`Client::on_report_into`]: indexes the
     /// report for this one client and allocates the action list. The
-    /// simulator threads one [`PreparedReport`] and one action buffer
-    /// through the whole broadcast fan-out instead.
+    /// [`PreparedReport`] path is the plan-less reference this facade
+    /// keeps for tests and perfbench; the simulator instead decodes one
+    /// `PlanCache` per broadcast tick and calls
+    /// `ClientMut::on_report_planned` on each listener.
     pub fn on_report(&mut self, now: SimTime, payload: &ReportPayload) -> Vec<ClientAction> {
         let mut actions = Vec::new();
         self.on_report_into(now, &payload.prepare(), &mut actions);

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, and the tier-1 build + test suite.
+# Local CI gate: formatting, lints, the tier-1 build + test suite, the
+# release equivalence legs, and last the perfbench A/B against HEAD~1.
 #
 #   ./scripts/ci.sh
 #
-# Runs entirely offline (the workspace vendors its dev-dependency stubs),
-# so this is exactly what a fresh checkout must pass.
+# Runs entirely offline (the workspace vendors its dev-dependency stub),
+# so this is exactly what a fresh checkout with its parent commit must
+# pass.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -81,60 +83,21 @@ timeout 600 cargo test -q --release --test cells
 echo "==> pool lifecycle suite (under timeout)"
 timeout 300 cargo test -q --release --test pool
 
-# Population-scale legs for the struct-of-arrays client core. The
-# 100k-client determinism pin is #[ignore]d (debug would crawl), so run
-# it explicitly in release; the popscale smoke re-runs the committed
-# 100k bench row and fails on a >10% events/sec regression against
-# BENCH_report_pipeline.json. Both under timeout: their failure mode
-# includes a wedged shard barrier.
+# The 100k-client determinism pin is #[ignore]d (debug would crawl), so
+# run it explicitly in release, under timeout: its failure mode includes
+# a wedged shard barrier.
 echo "==> 100k-client thread-invariance pin (release, under timeout)"
 timeout 600 cargo test -q --release --test determinism \
   hundred_k_clients_digest_is_thread_invariant -- --ignored
 
-echo "==> bench smoke: report_pipeline --quick --threads 2"
-cargo build --release -p mobicache-bench
-./target/release/report_pipeline --quick --threads 2 --out /tmp/bench_smoke.json
-rm -f /tmp/bench_smoke.json
+# The perf gate: perfbench on the parent commit against HEAD, same
+# host, alternating pairs per workload (scripts/perf_gate.py says when it
+# fails). Its verdict rule is unit-tested first. Timeout because a
+# wedged benchmark run must fail, not hang CI.
+echo "==> perf gate verdict tests"
+python3 scripts/test_perf_gate.py
 
-echo "==> popscale smoke: 100k clients vs committed BENCH_report_pipeline.json"
-timeout 300 ./target/release/report_pipeline \
-  --smoke-popscale 100000 --check-against BENCH_report_pipeline.json
-
-# Scheduler legs for the timing wheel: the stress smoke re-runs the
-# heavy AAW point against the committed stress row (a scheduler or
-# report-pipeline throughput regression fails here, not just a
-# population-scaling one), and the sched smoke re-runs the 10k-pending
-# heap-vs-wheel micro-benchmark, failing if the wheel drops below the
-# heap baseline.
-echo "==> stress smoke: heavy AAW point vs committed BENCH_report_pipeline.json"
-timeout 300 ./target/release/report_pipeline \
-  --smoke-stress --check-against BENCH_report_pipeline.json
-
-# The handoff smoke re-runs the heavy AAW multi-cell point (4 cells,
-# migrating clients, per-cell fan-out and update replay) against the
-# committed handoff row; a regression in the cell-aware broadcast path
-# or the handoff machinery fails here before it reaches a figure sweep.
-echo "==> handoff smoke: multi-cell AAW point vs committed BENCH_report_pipeline.json"
-timeout 300 ./target/release/report_pipeline \
-  --smoke-handoff --check-against BENCH_report_pipeline.json
-
-echo "==> sched smoke: heap-vs-wheel micro-benchmark"
-timeout 300 ./target/release/report_pipeline --smoke-sched
-
-# Invalidation-plan legs: the invplan smoke re-runs the 100k-client
-# plan-vs-per-item micro-benchmark and fails if the bitmap plan stops
-# beating the per-item walk or drops below half the committed speedup
-# (a ratio of two timed paths carries both runs' noise, hence the wider
-# margin than the 10% throughput gates). The e2e smoke closes the old
-# gap where the e2e section had no gate at all: it re-runs the full AAW
-# fig05 sweep against the committed e2e row with an 80% floor (e2e wall
-# times are tens of milliseconds, so proportional noise is larger).
-echo "==> invplan smoke: plan-vs-per-item at 100k clients"
-timeout 300 ./target/release/report_pipeline \
-  --smoke-invplan --check-against BENCH_report_pipeline.json
-
-echo "==> e2e smoke: AAW fig05 sweep vs committed BENCH_report_pipeline.json"
-timeout 300 ./target/release/report_pipeline \
-  --smoke-e2e --check-against BENCH_report_pipeline.json
+echo "==> perf gate: perfbench A/B against HEAD~1 (under timeout)"
+timeout 1200 python3 scripts/perf_gate.py
 
 echo "CI OK"
